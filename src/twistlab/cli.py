@@ -58,6 +58,7 @@ MALFORMED_MODEL = "malformed_model"
 MALFORMED_RANGE = "malformed_range"
 MALFORMED_CLASSES_FILE = "malformed_classes_file"
 MISSING_ARGUMENT = "missing_argument"
+UNWRITABLE_OUTPUT = "unwritable_output"
 
 
 def _parse_surface(text: str) -> Surface:
@@ -120,13 +121,12 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 def _run_alexander(args) -> str:
     surface = _parse_surface(args.surface)
     word, canonical = canonicalize_word(args.word, surface)
-    matrix = word_action(word)
     report = alexander_report(word)
     doc = {
         "command": "alexander",
         "surface": reporting.surface_doc(surface),
         "word": canonical,
-        "action_matrix": [list(row) for row in matrix.entries],
+        "action_matrix": [list(row) for row in report.action.entries],
         "characteristic_polynomial": reporting.polynomial_doc(report.poly),
         "delta_one": report.delta_one,
         "classification": report.classification.value,
@@ -178,7 +178,9 @@ def _load_classes(path: str, surface: Surface):
     for entry in entries:
         if isinstance(entry, str):
             classes.append(parse_class(entry, surface))
-        elif isinstance(entry, list) and all(isinstance(v, int) for v in entry):
+        elif isinstance(entry, list) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in entry
+        ):
             if len(entry) != surface.betti:
                 raise ParseError(
                     "vector_length_mismatch",
@@ -506,7 +508,11 @@ def main(argv=None) -> int:
         _emit_error("verification", str(exc))
         return 4
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            _emit_error(UNWRITABLE_OUTPUT, f"cannot write {args.out}: {exc.strerror}")
+            return 3
     else:
         sys.stdout.write(text)
     return 0

@@ -13,8 +13,9 @@ exactly when the surface has at most one boundary component.
 
 A right-handed Dehn twist about a curve in class c acts on homology by
 the transvection x -> x + i(x, c) * c.  In a twist word the first letter
-acts first, so the matrix of a word is the product M_k ... M_1.  All
-arithmetic is exact over the integers.
+acts first, so the matrix of a word is the product M_k ... M_1; it is
+folded one letter at a time by rank-one updates and validated once, as
+a finished product.  All arithmetic is exact over the integers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 from .errors import PreconditionError
 from .polynomials import (
@@ -187,9 +189,21 @@ def _matmul(a, b):
     )
 
 
-def _transpose(a):
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+def _preserves_form(entries, surface: Surface) -> bool:
+    """M^T J M == J, entry (i, j) being the pairing of columns i and j.
+
+    M^T J M is antisymmetric for every M, as J is, so the entries above
+    the diagonal decide.
+    """
+    g2 = 2 * surface.genus
+    form = standard_form(surface)
+    cols = [(col[0:g2:2], col[1:g2:2]) for col in zip(*entries)]
+    for i, (ai, bi) in enumerate(cols):
+        for j in range(i + 1, len(cols)):
+            aj, bj = cols[j]
+            if sum(map(mul, ai, bj)) - sum(map(mul, bi, aj)) != form[i][j]:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -198,7 +212,10 @@ class HomologyMatrix:
 
     Construction checks the two defining invariants exactly: the matrix
     preserves the intersection form (M^T J M = J, with J possibly
-    degenerate) and has determinant one.
+    degenerate) and has determinant one.  For a non-degenerate J (at most
+    one boundary component) the first implies the second, because
+    Pf(M^T J M) = det(M) Pf(J) and Pf(J) = 1; the determinant is computed
+    only when J is degenerate.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -210,10 +227,9 @@ class HomologyMatrix:
         n = self.surface.betti
         if len(entries) != n or any(len(row) != n for row in entries):
             raise PreconditionError(f"expected a {n}x{n} matrix")
-        form = standard_form(self.surface)
-        if n and _matmul(_matmul(_transpose(entries), form), entries) != form:
+        if not _preserves_form(entries, self.surface):
             raise PreconditionError("matrix does not preserve the intersection form")
-        if determinant(entries) != 1:
+        if self.surface.boundary >= 2 and determinant(entries) != 1:
             raise PreconditionError("matrix determinant is not 1")
 
     @classmethod
@@ -263,16 +279,44 @@ def twist_action(c: HomologyClass, exponent: int = 1) -> HomologyMatrix:
 
 
 def word_action(word: TwistWord) -> HomologyMatrix:
-    """Matrix of a twist word; the first letter acts first."""
-    result = HomologyMatrix.identity(word.surface)
+    """Matrix of a twist word; the first letter acts first.
+
+    The letter T_c^e multiplies the running product M on the left by
+    id + e * c w^T, with w = pairing_gradient(c), which is the rank-one
+    update M <- M + c (e * w^T M): O(n^2) per letter, and letters whose
+    class pairs to zero with everything are skipped.  Only the finished
+    product is built as a HomologyMatrix, so it is validated once.
+    """
+    n = word.surface.betti
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for letter in word.letters:
-        result = twist_action(letter.curve, letter.exponent).compose(result)
-    return result
+        w = pairing_gradient(letter.curve)
+        update = [0] * n
+        for k, wk in enumerate(w):
+            if wk:
+                update = [u + wk * v for u, v in zip(update, rows[k])]
+        if not any(update):
+            continue
+        for i, ci in enumerate(letter.curve.coords):
+            if ci:
+                f = letter.exponent * ci
+                rows[i] = [v + f * u for v, u in zip(rows[i], update)]
+    return HomologyMatrix(tuple(map(tuple, rows)), word.surface)
 
 
 def characteristic_polynomial(matrix: HomologyMatrix) -> IntegerPolynomial:
     """det(t*id - M), computed exactly over the integers."""
     return characteristic_polynomial_from_rows(matrix.entries)
+
+
+def characteristic_value_at_one(matrix: HomologyMatrix) -> int:
+    """det(id - M), the characteristic polynomial's value at t = 1, by Bareiss."""
+    return determinant(
+        [
+            [(1 if i == j else 0) - v for j, v in enumerate(row)]
+            for i, row in enumerate(matrix.entries)
+        ]
+    )
 
 
 class Classification(Enum):
@@ -292,18 +336,21 @@ class AlexanderReport:
     """Characteristic polynomial of a word action plus its value at 1.
 
     ``normalized`` multiplies by -1 when the value at 1 is -1, matching
-    the convention in which knots have Alexander value +1.
+    the convention in which knots have Alexander value +1.  ``action`` is
+    the word's matrix the polynomial was computed from.
     """
 
     poly: IntegerPolynomial
     delta_one: int
     classification: Classification
     normalized: IntegerPolynomial
+    action: HomologyMatrix
 
 
 def alexander_report(word: TwistWord) -> AlexanderReport:
     """Alexander-style report for the homological action of a word."""
-    poly = characteristic_polynomial(word_action(word))
+    action = word_action(word)
+    poly = characteristic_polynomial(action)
     delta_one = poly.evaluate(1)
     if abs(delta_one) == 1:
         kind = Classification.KNOT_COMPATIBLE
@@ -312,4 +359,4 @@ def alexander_report(word: TwistWord) -> AlexanderReport:
     else:
         kind = Classification.NEITHER
     normalized = -poly if delta_one == -1 else poly
-    return AlexanderReport(poly, delta_one, kind, normalized)
+    return AlexanderReport(poly, delta_one, kind, normalized, action)

@@ -25,7 +25,7 @@ from .homology import (
     HomologyClass,
     Surface,
     TwistWord,
-    characteristic_polynomial,
+    characteristic_value_at_one,
     pair,
     pairing_gradient,
     word_action,
@@ -158,8 +158,9 @@ def verify_certificate(cert: ObstructionCertificate, word: TwistWord) -> bool:
     """Check the certificate against one word over its classes.
 
     True iff the word action fixes the witness and its characteristic
-    polynomial vanishes at 1.  For any word built from the certified
-    classes this must hold; False signals an implementation bug.
+    polynomial vanishes at 1, evaluated as det(id - M).  For any word
+    built from the certified classes this must hold; False signals an
+    implementation bug.
     """
     allowed = {c.coords for c in cert.classes}
     for letter in word.letters:
@@ -168,7 +169,7 @@ def verify_certificate(cert: ObstructionCertificate, word: TwistWord) -> bool:
     action = word_action(word)
     if action.apply_vector(cert.witness) != cert.witness:
         return False
-    return characteristic_polynomial(action).evaluate(1) == 0
+    return characteristic_value_at_one(action) == 0
 
 
 def knot_twist_length_lower_bound(genus: int) -> int:

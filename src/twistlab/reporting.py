@@ -14,7 +14,7 @@ from .errors import ParseError
 from .obstruction import ObstructionCertificate
 from .polynomials import IntegerPolynomial, polynomial_text
 from .sclbound import Derivation, RationalBound
-from .homology import Surface
+from .homology import Surface, pair
 
 MALFORMED_RATIONAL = "malformed_rational"
 
@@ -90,7 +90,9 @@ def certificate_doc(cert: ObstructionCertificate) -> dict:
         "witness": list(cert.witness),
         "checks": {
             "witness_nonzero": any(w != 0 for w in cert.witness),
-            "witness_pairings_zero": True,
+            "witness_pairings_zero": all(
+                pair(cert.witness_class, c) == 0 for c in cert.classes
+            ),
             "complement_dimension": len(cert.complement_basis),
             "dimension_lower_bound": max(
                 2 * cert.genus - cert.distinct_class_count, 0

@@ -75,6 +75,7 @@ def test_twistlb_certificate(tmp_path, capsys):
     assert doc["distinct_classes"] == 3
     assert doc["required_distinct_classes"] == 4
     assert doc["certificate"]["witness"] == [0, 0, 1, 0]
+    assert doc["certificate"]["checks"]["witness_pairings_zero"] is True
     assert doc["verification"] == {"words": 100, "passed": True}
 
 
@@ -217,6 +218,26 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     bad.write_text("not json")
     code, _, err = run_cli(capsys, "twistlb", "--surface", "1,1", "--classes", str(bad))
     assert code == 2
+
+
+def test_classes_file_rejects_booleans(tmp_path, capsys):
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps([[True, False, False, False]]))
+    code, out, err = run_cli(
+        capsys, "twistlb", "--surface", "2,1", "--classes", str(classes)
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "malformed_classes_file"
+
+
+def test_out_into_missing_directory_exits_3(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "alexander", "--surface", "1,1", "--word", "a1", "--out", str(target)
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "unwritable_output"
+    assert not target.parent.exists()
 
 
 def test_precondition_errors_exit_3(capsys):

@@ -19,6 +19,7 @@ from twistlab import (
     twist_action,
     word_action,
 )
+from twistlab.homology import characteristic_value_at_one
 from twistlab.polynomials import determinant
 
 
@@ -135,6 +136,62 @@ def test_word_action_examples():
     assert determinant(trefoil.entries) == 1
 
 
+FOLD_SURFACES = [Surface(g, 1) for g in range(1, 21)] + [
+    Surface(2, 0),
+    Surface(1, 3),
+    Surface(3, 3),
+]
+
+
+def _product_path(word):
+    """Oracle: the word's action as a product of validated letter matrices."""
+    result = HomologyMatrix.identity(word.surface)
+    for letter in word.letters:
+        result = twist_action(letter.curve, letter.exponent).compose(result)
+    return result
+
+
+def _inverse(word):
+    return TwistWord(
+        tuple(TwistLetter(x.curve, -x.exponent) for x in reversed(word.letters)),
+        word.surface,
+    )
+
+
+def test_word_action_matches_product_path():
+    rng = random.Random(23)
+    for surface in FOLD_SURFACES:
+        for _ in range(3 if surface.betti <= 12 else 1):
+            word = random_word(surface, rng, max_len=8)
+            assert word_action(word) == _product_path(word)
+
+
+def test_word_action_times_inverse_is_identity():
+    rng = random.Random(29)
+    for surface in FOLD_SURFACES:
+        eye = HomologyMatrix.identity(surface)
+        for _ in range(3 if surface.betti <= 12 else 1):
+            word = random_word(surface, rng, max_len=12)
+            assert word_action(word) @ word_action(_inverse(word)) == eye
+
+
+def test_word_action_skips_boundary_letters():
+    rng = random.Random(31)
+    for surface in (Surface(1, 3), Surface(3, 3)):
+        boundary = [surface.d(j) for j in (1, 2)]
+        for _ in range(10):
+            word = random_word(surface, rng, max_len=8)
+            padded = TwistWord(
+                tuple(
+                    x
+                    for letter in word.letters
+                    for x in (letter, TwistLetter(rng.choice(boundary), 2))
+                ),
+                surface,
+            )
+            assert word_action(padded) == word_action(word) == _product_path(padded)
+
+
 def test_word_letters_must_share_surface():
     s, t = Surface(1, 1), Surface(2, 1)
     with pytest.raises(PreconditionError):
@@ -157,6 +214,15 @@ def test_homology_matrix_rejects_bad_matrices():
         HomologyMatrix(((1, 0),), s)
 
 
+def test_homology_matrix_checks_determinant_on_degenerate_forms():
+    # these preserve a degenerate form, so only the determinant rejects them
+    with pytest.raises(PreconditionError, match="determinant"):
+        HomologyMatrix(((2, 0), (0, 1)), Surface(0, 3))
+    with pytest.raises(PreconditionError, match="determinant"):
+        HomologyMatrix(((1, 0, 0), (0, 1, 0), (0, 0, -1)), Surface(1, 2))
+    assert HomologyMatrix(((1, 0, 0), (0, 1, 0), (5, -2, 1)), Surface(1, 2))
+
+
 def test_word_action_preserves_form_and_determinant():
     rng = random.Random(9)
     for surface in (Surface(1, 1), Surface(2, 1), Surface(2, 0), Surface(1, 3)):
@@ -173,6 +239,17 @@ def test_characteristic_polynomial_reciprocal_on_one_boundary():
         for _ in range(20):
             poly = characteristic_polynomial(word_action(random_word(surface, rng)))
             assert poly.coefficients == tuple(reversed(poly.coefficients))
+
+
+def test_value_at_one_matches_characteristic_polynomial():
+    rng = random.Random(37)
+    # ranks 2..12; odd ranks carry one boundary class
+    surfaces = [Surface(r // 2, 1 + r % 2) for r in range(2, 13)]
+    surfaces += [Surface(2, 0), Surface(1, 3)]
+    for surface in surfaces:
+        for _ in range(10):
+            m = word_action(random_word(surface, rng, max_len=8))
+            assert characteristic_value_at_one(m) == characteristic_polynomial(m).evaluate(1)
 
 
 def test_characteristic_polynomial_cyclic_invariance():
@@ -198,6 +275,7 @@ def test_single_letter_words_have_delta_one_zero():
 def test_alexander_examples():
     s = Surface(1, 1)
     trefoil = alexander_report(TwistWord.from_pairs(s, [(s.a(1), 1), (s.b(1), 1)]))
+    assert trefoil.action.entries == ((1, -1), (1, 0))
     assert trefoil.poly.coefficients == (1, -1, 1)
     assert trefoil.delta_one == 1
     assert trefoil.classification is Classification.KNOT_COMPATIBLE
