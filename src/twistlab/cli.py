@@ -8,8 +8,9 @@ bound with its derivation), ``heightlb`` (stabilisation-height sweep),
 Reports are deterministic: identical inputs produce byte-identical
 output, rationals are reduced ``p/q`` strings, polynomial terms are in
 descending degree, sweep rows are in ascending n.  Exit codes: 0
-success, 2 parse error, 3 precondition violation, 4 internal
-verification failure.  Errors go to stderr as JSON.
+success, 2 parse error (argument errors included), 3 precondition
+violation, 4 internal verification failure.  Errors go to stderr as
+JSON.  A sweep holds at most ``MAX_SWEEP_VALUES`` values of n.
 """
 
 from __future__ import annotations
@@ -57,8 +58,14 @@ MALFORMED_SURFACE = "malformed_surface"
 MALFORMED_MODEL = "malformed_model"
 MALFORMED_RANGE = "malformed_range"
 MALFORMED_CLASSES_FILE = "malformed_classes_file"
+MALFORMED_ARGUMENTS = "malformed_arguments"
 MISSING_ARGUMENT = "missing_argument"
 UNWRITABLE_OUTPUT = "unwritable_output"
+
+# Largest number of values one --n sweep may hold (exit 3 beyond it); the
+# 200,001 values of -100000..100000 fit.
+MAX_SWEEP_VALUES = 250_000
+_SWEEP_FORMS = "n must be an integer, 'lo..hi[..step]' or a comma list"
 
 
 def _parse_surface(text: str) -> Surface:
@@ -85,27 +92,38 @@ def _parse_model(text: str | None) -> CBoundModel:
     return CBoundModel(alpha, beta, ModelFlag.USER_SUPPLIED)
 
 
-def _parse_sweep(text: str) -> list[int]:
-    """``5`` | ``lo..hi`` | ``lo..hi..step`` | comma-separated list."""
+def _parse_sweep(text: str) -> range | list[int]:
+    """``5`` | ``lo..hi`` | ``lo..hi..step`` | comma-separated list.
+
+    The values come back ascending and without repeats; a range is
+    returned as a ``range`` and counted without being built.
+    """
+    parts = text.split("..")
+    if len(parts) in (2, 3):
+        lo, hi, step = _sweep_integers(text, parts + ["1"] * (3 - len(parts)))
+        if step < 1 or hi < lo:
+            raise ParseError(MALFORMED_RANGE, _SWEEP_FORMS, text)
+        _check_sweep_size((hi - lo) // step + 1)
+        return range(lo, hi + 1, step)
+    if len(parts) > 3:
+        raise ParseError(MALFORMED_RANGE, _SWEEP_FORMS, text)
+    items = text.split(",")
+    _check_sweep_size(len(items))
+    return sorted(set(_sweep_integers(text, items)))
+
+
+def _sweep_integers(text: str, parts: list[str]) -> list[int]:
     try:
-        if ".." in text:
-            parts = text.split("..")
-            if len(parts) == 2:
-                lo, hi, step = int(parts[0]), int(parts[1]), 1
-            elif len(parts) == 3:
-                lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2])
-            else:
-                raise ValueError(text)
-            if step < 1 or hi < lo:
-                raise ValueError(text)
-            return list(range(lo, hi + 1, step))
-        if "," in text:
-            return [int(part) for part in text.split(",")]
-        return [int(text)]
+        return [int(part) for part in parts]
     except ValueError as exc:
-        raise ParseError(
-            MALFORMED_RANGE, "n must be an integer, 'lo..hi[..step]' or a comma list", text
-        ) from exc
+        raise ParseError(MALFORMED_RANGE, _SWEEP_FORMS, text) from exc
+
+
+def _check_sweep_size(count: int) -> None:
+    if count > MAX_SWEEP_VALUES:
+        raise PreconditionError(
+            f"sweep holds {count} values of n; at most {MAX_SWEEP_VALUES} are allowed"
+        )
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -314,13 +332,8 @@ def _run_heightlb(args) -> str:
     if fibre_b1 < 0:
         raise PreconditionError("first Betti number must be non-negative")
     model = _parse_model(args.model)
-    ns = sorted(set(_parse_sweep(args.n)))
-    rows = []
-    results = {}
-    for n in ns:
-        result = height_lower_bound(HeightQuery(fibre_b1, n, model))
-        results[n] = result
-        rows.append({"n": n, "h_lb": result.h_lb})
+    ns = _parse_sweep(args.n)
+    results = [height_lower_bound(HeightQuery(fibre_b1, n, model)) for n in ns]
     doc = {
         "command": "heightlb",
         "fibre_b1": fibre_b1,
@@ -329,21 +342,17 @@ def _run_heightlb(args) -> str:
             "alpha": reporting.fraction_text(model.alpha),
             "beta": reporting.fraction_text(model.beta),
         },
-        "rows": rows,
+        "rows": [(n, result.h_lb) for n, result in zip(ns, results)],
     }
     if len(ns) == 1:
         doc["derivations"] = [
-            reporting.derivation_doc(d) for d in results[ns[0]].derivations
+            reporting.derivation_doc(d) for d in results[0].derivations
         ]
     if args.verify:
-        for n in ns:
-            _verify_height(HeightQuery(fibre_b1, n, model), results[n])
+        for n, result in zip(ns, results):
+            _verify_height(HeightQuery(fibre_b1, n, model), result)
         doc["verified"] = True
-    if args.format == "tsv":
-        return reporting.tsv_text(
-            ("n", "h_lb"), [(row["n"], row["h_lb"]) for row in rows]
-        )
-    return reporting.dumps(doc)
+    return reporting.sweep_report(doc, reporting.HEIGHT_ROW, args.format)
 
 
 def _verify_height(query: HeightQuery, result) -> None:
@@ -360,29 +369,6 @@ def _verify_height(query: HeightQuery, result) -> None:
             raise VerificationError("height derivation replay failed")
 
 
-def _pants_row(n: int) -> dict:
-    member = PantsFamilyMember(n)
-    cuts = cut_annulus_twists(n)
-    return {
-        "n": n,
-        "exponents": {
-            "a": member.mapping_class.p,
-            "b": member.mapping_class.q,
-            "c": member.mapping_class.r,
-        },
-        "twist_length": pants_twist_length(member.mapping_class),
-        "cuts": [
-            {
-                "arc": cut.arc,
-                "full_twists": cut.full_twists,
-                "is_hopf_band": cut.is_hopf_band,
-            }
-            for cut in cuts.arcs
-        ],
-        "deplumbing_obstructed": hopf_deplumbing_obstructed(n),
-    }
-
-
 def _verify_pants(n: int) -> None:
     member = PantsFamilyMember(n)
     cuts = cut_annulus_twists(n).arcs
@@ -396,57 +382,52 @@ def _verify_pants(n: int) -> None:
 
 
 def _run_pants(args) -> str:
-    ns = sorted(set(_parse_sweep(args.n)))
-    rows = [_pants_row(n) for n in ns]
+    ns = _parse_sweep(args.n)
+    rows = []
+    for n in ns:
+        exponents = PantsFamilyMember(n).mapping_class
+        cuts = cut_annulus_twists(n).arcs
+        hopf = [cut.is_hopf_band for cut in cuts]
+        rows.append(
+            (
+                n,
+                exponents.p,
+                exponents.q,
+                exponents.r,
+                pants_twist_length(exponents),
+                *[cut.full_twists for cut in cuts],
+                *hopf,
+                not any(hopf),
+            )
+        )
     doc = {"command": "pants", "rows": rows}
     if args.verify:
         for n in ns:
             _verify_pants(n)
         doc["verified"] = True
-    if args.format == "tsv":
-        return reporting.tsv_text(
-            (
-                "n",
-                "twist_length",
-                "arc_ab",
-                "arc_bc",
-                "arc_ac",
-                "hopf_ab",
-                "hopf_bc",
-                "hopf_ac",
-                "obstructed",
-            ),
-            [
-                (
-                    row["n"],
-                    row["twist_length"],
-                    row["cuts"][0]["full_twists"],
-                    row["cuts"][1]["full_twists"],
-                    row["cuts"][2]["full_twists"],
-                    row["cuts"][0]["is_hopf_band"],
-                    row["cuts"][1]["is_hopf_band"],
-                    row["cuts"][2]["is_hopf_band"],
-                    row["deplumbing_obstructed"],
-                )
-                for row in rows
-            ],
-        )
-    return reporting.dumps(doc)
+    return reporting.sweep_report(doc, reporting.PANTS_ROW, args.format)
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as a ``ParseError`` instead of exiting."""
+
+    def error(self, message: str):
+        raise ParseError(MALFORMED_ARGUMENTS, f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument(
         "--verify", action="store_true", help="re-check emitted certificates/derivations"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="twistlab",
         description="exact monodromy computations for fibre surfaces",
     )
@@ -495,8 +476,8 @@ def _emit_error(code: str, message: str, token: str | None = None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = _HANDLERS[args.command](args)
     except ParseError as exc:
         _emit_error(exc.code, str(exc), exc.token)

@@ -353,16 +353,27 @@ def height_lower_bound(query: HeightQuery) -> HeightResult:
 
     L is non-increasing and C non-decreasing in k, so the crossover is
     unique and found by bracketing plus binary search.  Non-decreasing in
-    |n| for a fixed fibre and model.
+    |n| for a fixed fibre and model.  The search compares in integers;
+    ``height_chain_bound`` and ``height_model_bound`` give the same
+    comparison in ``Fraction``.
     """
     model = query.model
     if model.alpha == 0 and model.beta < 0:
         raise PreconditionError(
             "model ceiling is negative for every size; no stabilisation is consistent"
         )
+    # With scale = den(alpha) * den(beta), C(m) = (slope * m + offset) / scale.
+    scale = model.alpha.denominator * model.beta.denominator
+    slope = model.alpha.numerator * model.beta.denominator
+    offset = model.beta.numerator * model.alpha.denominator
+    twist = abs(query.n) * scale
 
     def excluded(k: int) -> bool:
-        return height_chain_bound(query, k) > height_model_bound(query, k)
+        # max(|n|/D - (k + 7), 0) > C(m) with D = 18*gcap - 6 > 0 holds iff
+        # C(m) < 0 or |n|/D - (k + 7) > C(m); the latter times D * scale.
+        ceiling = slope * stabilisation_betti(query, k) + offset
+        denom = 18 * capped_genus(query, k) - 6
+        return ceiling < 0 or twist > denom * ((k + 7) * scale + ceiling)
 
     if not excluded(0):
         h_lb = 0

@@ -263,7 +263,41 @@ def test_verification_failure_exit_4(capsys, monkeypatch):
 
 
 def test_unknown_flag_exits_2(capsys):
+    cases = [
+        ("alexander", "--nope"),
+        ("alexander", "--surface", "1,1", "--word", "a1", "--nope"),
+        ("pants",),
+        ("pants", "--n", "1", "--format", "xml"),
+        ("heightlb", "--fibre-b1", "two", "--n", "1"),
+        ("frobnicate",),
+        (),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "malformed_arguments", argv
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["alexander", "--nope"])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
+        cli.main(["pants", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: twistlab pants")
+
+
+def test_sweep_size_is_capped(capsys):
+    limit = cli.MAX_SWEEP_VALUES
+    assert len(cli._parse_sweep(f"1..{limit}")) == limit
+    assert len(cli._parse_sweep(",".join(["7"] * limit))) == 1
+    cases = [
+        ("pants", f"--n=0..{10**15}"),
+        ("pants", f"--n=1..{limit + 1}", "--format", "tsv"),
+        ("heightlb", "--fibre-b1", "2", f"--n=-{10**15}..{10**15}..2"),
+        ("heightlb", "--fibre-b1", "2", "--n", ",".join(["7"] * (limit + 1))),
+        ("sclbound", "--tc", "1/48", f"--n=0..{10**15}"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "precondition", argv
+    code, out, _ = run_cli(capsys, "pants", f"--n=0..{10**15}..{10**12}", "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"{10**15}\t")
+    assert len(out.splitlines()) == 1002

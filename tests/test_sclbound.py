@@ -15,6 +15,7 @@ from twistlab import (
     PreconditionError,
     RationalBound,
     Rule,
+    Surface,
     chain_lower,
     height_chain_bound,
     height_lower_bound,
@@ -26,7 +27,14 @@ from twistlab import (
     replay,
     verify_derivation,
 )
-from twistlab.sclbound import derive_cap, derive_korkmaz, derive_power, derive_product, upper
+from twistlab.sclbound import (
+    capped_genus,
+    derive_cap,
+    derive_korkmaz,
+    derive_power,
+    derive_product,
+    upper,
+)
 
 
 def linear_scan_height(query: HeightQuery, cap: int = 10_000) -> int:
@@ -179,6 +187,61 @@ def test_height_matches_linear_scan_oracle():
             rng.randint(0, 6), rng.randint(-200_000, 200_000), rng.choice(models)
         )
         assert height_lower_bound(query).h_lb == linear_scan_height(query)
+
+
+# The models of the benchmark's heightlb requests, two with a negative beta.
+BENCH_STYLE_MODELS = [
+    CBoundModel(Fraction(alpha), Fraction(beta), ModelFlag.USER_SUPPLIED)
+    for alpha, beta in (
+        ("1/2", "3"),
+        ("1", "0"),
+        ("3/2", "-1"),
+        ("2", "5"),
+        ("2/3", "1"),
+        ("5/4", "-2"),
+    )
+]
+
+
+def test_height_integer_search_matches_fraction_scan():
+    rng = random.Random(43)
+
+    def fibres():
+        # as given by --fibre-b1 and by --surface
+        return (rng.randint(0, 12), Surface(rng.randint(0, 6), rng.randint(1, 3)).betti)
+
+    for model in BENCH_STYLE_MODELS:
+        for fibre_b1 in fibres():
+            for top in (3, 6, 9):
+                n = rng.randint(0, 10**top) * rng.choice((-1, 1))
+                query = HeightQuery(fibre_b1, n, model)
+                assert height_lower_bound(query).h_lb == linear_scan_height(query, cap=10**5)
+    query = HeightQuery(rng.randint(0, 12), -(10**12), BENCH_STYLE_MODELS[3])
+    assert height_lower_bound(query).h_lb == linear_scan_height(query, cap=10**6)
+    # Ties L(k) = C(m(k)), and a ceiling below zero at small sizes.
+    negative_at_small_sizes = CBoundModel(
+        Fraction(1, 3), Fraction(-4), ModelFlag.USER_SUPPLIED
+    )
+    for model in (*BENCH_STYLE_MODELS, negative_at_small_sizes):
+        for fibre_b1 in fibres():
+            for k in (0, 3, 40, 400):
+                tie = HeightQuery(fibre_b1, 0, model)
+                n = (18 * capped_genus(tie, k) - 6) * (k + 7 + height_model_bound(tie, k))
+                for value in sorted({int(n), int(n) + 1, max(int(n) - 1, 0), k}):
+                    query = HeightQuery(fibre_b1, value * rng.choice((-1, 1)), model)
+                    assert height_lower_bound(query).h_lb == linear_scan_height(query)
+    # Beyond the scans, the Fraction comparison brackets each crossover:
+    # excluded just below it and not at it, which by monotonicity in k is
+    # what a linear scan would find.
+    for _ in range(200):
+        model = rng.choice(BENCH_STYLE_MODELS)
+        fibre_b1 = rng.choice(fibres())
+        n = int(10 ** (rng.random() * 12)) * rng.choice((-1, 1))
+        query = HeightQuery(fibre_b1, n, model)
+        h = height_lower_bound(query).h_lb
+        assert height_chain_bound(query, h) <= height_model_bound(query, h)
+        if h > 0:
+            assert height_chain_bound(query, h - 1) > height_model_bound(query, h - 1)
 
 
 def test_height_symmetric_in_sign_of_n():
