@@ -10,7 +10,9 @@ output, rationals are reduced ``p/q`` strings, polynomial terms are in
 descending degree, sweep rows are in ascending n.  Exit codes: 0
 success, 2 parse error (argument errors included), 3 precondition
 violation, 4 internal verification failure.  Errors go to stderr as
-JSON.  A sweep holds at most ``MAX_SWEEP_VALUES`` values of n.
+JSON.  A sweep holds at most ``MAX_SWEEP_VALUES`` values of n, and
+``alexander``/``twistlb`` take surfaces of homology rank at most
+``MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 from . import reporting
 from .errors import ParseError, PreconditionError, VerificationError
 from .homology import (
+    HomologyMatrix,
     Surface,
     TwistLetter,
     TwistWord,
@@ -34,11 +37,12 @@ from .homology import (
 )
 from .obstruction import knot_monodromy_obstruction, verify_certificate
 from .pants import (
+    PANTS_SURFACE,
     PantsFamilyMember,
     cut_annulus_twists,
     hopf_deplumbing_obstructed,
-    pants_alexander,
     pants_twist_length,
+    pants_word,
 )
 from .sclbound import (
     CBoundModel,
@@ -67,8 +71,13 @@ UNWRITABLE_OUTPUT = "unwritable_output"
 MAX_SWEEP_VALUES = 250_000
 _SWEEP_FORMS = "n must be an integer, 'lo..hi[..step]' or a comma list"
 
+# Largest homology rank (2g + b - 1) that alexander and twistlb accept
+# (exit 3 beyond it), checked before any vector or matrix is built: 5x the
+# benchmark's largest rank, 40.  heightlb reads only b1 and is not capped.
+MAX_RANK = 200
 
-def _parse_surface(text: str) -> Surface:
+
+def _parse_surface(text: str, max_rank: int | None = MAX_RANK) -> Surface:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(MALFORMED_SURFACE, "surface must be 'genus,boundary'", text)
@@ -76,9 +85,12 @@ def _parse_surface(text: str) -> Surface:
         genus, boundary = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ParseError(MALFORMED_SURFACE, "surface must be 'genus,boundary'", text) from exc
-    if genus < 0 or boundary < 0:
-        raise PreconditionError("genus and boundary count must be non-negative")
-    return Surface(genus, boundary)
+    surface = Surface(genus, boundary)
+    if max_rank is not None and surface.betti > max_rank:
+        raise PreconditionError(
+            f"surface has homology rank {surface.betti}; at most {max_rank} is allowed"
+        )
+    return surface
 
 
 def _parse_model(text: str | None) -> CBoundModel:
@@ -326,7 +338,7 @@ def _run_heightlb(args) -> str:
     if args.fibre_b1 is not None:
         fibre_b1 = args.fibre_b1
     elif args.surface is not None:
-        fibre_b1 = _parse_surface(args.surface).betti
+        fibre_b1 = _parse_surface(args.surface, max_rank=None).betti
     else:
         raise ParseError(MISSING_ARGUMENT, "heightlb needs --fibre-b1 or --surface")
     if fibre_b1 < 0:
@@ -349,15 +361,15 @@ def _run_heightlb(args) -> str:
             reporting.derivation_doc(d) for d in results[0].derivations
         ]
     if args.verify:
-        for n, result in zip(ns, results):
-            _verify_height(HeightQuery(fibre_b1, n, model), result)
+        for result in results:
+            _verify_height(result)
         doc["verified"] = True
     return reporting.sweep_report(doc, reporting.HEIGHT_ROW, args.format)
 
 
-def _verify_height(query: HeightQuery, result) -> None:
+def _verify_height(result) -> None:
     # Independent re-check of the crossover against its definition.
-    h = result.h_lb
+    query, h = result.query, result.h_lb
     if height_chain_bound(query, h) > height_model_bound(query, h):
         raise VerificationError("reported h_lb is still contradicted")
     if h > 0 and not (
@@ -369,6 +381,9 @@ def _verify_height(query: HeightQuery, result) -> None:
             raise VerificationError("height derivation replay failed")
 
 
+_PANTS_IDENTITY = HomologyMatrix.identity(PANTS_SURFACE)
+
+
 def _verify_pants(n: int) -> None:
     member = PantsFamilyMember(n)
     cuts = cut_annulus_twists(n).arcs
@@ -376,8 +391,8 @@ def _verify_pants(n: int) -> None:
         raise VerificationError("cut twists of the b-c and a-c arcs must differ by 2")
     if hopf_deplumbing_obstructed(n) == any(cut.is_hopf_band for cut in cuts):
         raise VerificationError("obstruction flag disagrees with the cut report")
-    report = pants_alexander(member.mapping_class)
-    if report.poly.coefficients != (1, -2, 1) or report.delta_one != 0:
+    # The identity action forces the polynomial (t - 1)^2 and its value 0 at 1.
+    if word_action(pants_word(member.mapping_class)) != _PANTS_IDENTITY:
         raise VerificationError("pants family must act trivially on homology")
 
 

@@ -258,6 +258,4 @@ def tsv_text(header, rows) -> str:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return fraction_text(value)
     return str(value)

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError, VerificationError
 
@@ -71,11 +72,11 @@ class RationalBound:
 
 
 def lower(value, subject: str = "") -> RationalBound:
-    return RationalBound(Fraction(value), BoundKind.LOWER, subject)
+    return RationalBound(value, BoundKind.LOWER, subject)
 
 
 def upper(value, subject: str = "") -> RationalBound:
-    return RationalBound(Fraction(value), BoundKind.UPPER, subject)
+    return RationalBound(value, BoundKind.UPPER, subject)
 
 
 class Rule(Enum):
@@ -94,7 +95,7 @@ class Derivation:
     ``inputs`` holds child derivations and/or leaf bounds; ``params``
     is an ordered tuple of (name, value) pairs carrying the rule's
     non-bound arguments (exponents, counts, model coefficients).  The
-    stored result is recomputable from the children by reapplying the
+    stored result is recomputable from the inputs by reapplying the
     rule; ``replay``/``verify_derivation`` check that exactly.
     """
 
@@ -110,16 +111,36 @@ class Derivation:
         raise KeyError(name)
 
 
-def _input_value(item) -> Fraction:
-    if isinstance(item, Derivation):
-        return replay(item).value
-    return item.value
+def _bound(item) -> RationalBound:
+    """The bound an input stands for: a derivation's stored result, or the leaf."""
+    return item.result if isinstance(item, Derivation) else item
 
 
 def replay(derivation: Derivation) -> RationalBound:
     """Recompute a derivation bottom-up, ignoring every stored result."""
+    values = [
+        replay(item).value if isinstance(item, Derivation) else item.value
+        for item in derivation.inputs
+    ]
+    return _apply_rule(derivation, values)
+
+
+def verify_derivation(derivation: Derivation) -> bool:
+    """True iff every node's stored result matches its replayed value exactly.
+
+    Children are checked first, so each node's rule is then applied once,
+    to its inputs' stored results: those equal their replayed values.
+    """
+    children = [item for item in derivation.inputs if isinstance(item, Derivation)]
+    if not all(map(verify_derivation, children)):
+        return False
+    applied = _apply_rule(derivation, [_bound(item).value for item in derivation.inputs])
+    return (applied.value, applied.kind) == (derivation.result.value, derivation.result.kind)
+
+
+def _apply_rule(derivation: Derivation, values: list[Fraction]) -> RationalBound:
+    """The node's rule applied to the given values of its inputs."""
     rule = derivation.rule
-    values = [_input_value(item) for item in derivation.inputs]
     if rule is Rule.KORKMAZ:
         g = derivation.param("genus")
         if g < 3:
@@ -151,21 +172,6 @@ def replay(derivation: Derivation) -> RationalBound:
     raise VerificationError(f"unknown rule {rule}")
 
 
-def verify_derivation(derivation: Derivation) -> bool:
-    """True iff every node's stored result matches its replayed value exactly."""
-    replayed = replay(derivation)
-    if (replayed.value, replayed.kind) != (
-        derivation.result.value,
-        derivation.result.kind,
-    ):
-        return False
-    return all(
-        verify_derivation(item)
-        for item in derivation.inputs
-        if isinstance(item, Derivation)
-    )
-
-
 # ---------------------------------------------------------------------------
 # individual rules
 
@@ -189,8 +195,7 @@ def product_rule(l1: RationalBound, l2: RationalBound) -> RationalBound:
 
 
 def derive_product(a, b) -> Derivation:
-    bounds = [item.result if isinstance(item, Derivation) else item for item in (a, b)]
-    return Derivation(Rule.PRODUCT, (a, b), product_rule(*bounds))
+    return Derivation(Rule.PRODUCT, (a, b), product_rule(_bound(a), _bound(b)))
 
 
 def power_rule(l: RationalBound, n: int) -> RationalBound:
@@ -201,8 +206,7 @@ def power_rule(l: RationalBound, n: int) -> RationalBound:
 
 
 def derive_power(base, n: int) -> Derivation:
-    bound = base.result if isinstance(base, Derivation) else base
-    return Derivation(Rule.POWER, (base,), power_rule(bound, n), (("exponent", n),))
+    return Derivation(Rule.POWER, (base,), power_rule(_bound(base), n), (("exponent", n),))
 
 
 def derive_cap(inner: Derivation, subject: str = "monodromy before capping") -> Derivation:
@@ -212,35 +216,33 @@ def derive_cap(inner: Derivation, subject: str = "monodromy before capping") -> 
     )
 
 
+def derive_chain(inputs, zero_terms: int, subject: str) -> Derivation:
+    """Iterated product rule over the inputs and ``zero_terms`` factors bounded by 0.
+
+    With j = len(inputs) + zero_terms - 1 product applications the bound is
+    max(sum of the inputs' bounds - j, 0), clamped once at the end.
+    """
+    inputs = tuple(inputs)
+    applications = len(inputs) + zero_terms - 1
+    total = sum((_bound(item).value for item in inputs), Fraction(0)) - applications
+    params = (("products_applied", applications), ("zero_terms", zero_terms))
+    return Derivation(Rule.CHAIN, inputs, lower(total, subject), params)
+
+
 def chain_lower(
     twist_lowers, phi0_lower: RationalBound, tc_lower: RationalBound, n: int
 ) -> Derivation:
     """Iterated product rule across k twist factors, a base map and a twist power.
 
     Returns the derivation of
-        max( sum(twist_lowers) + phi0_lower + |n| * tc_lower - (k + 1), 0 ),
-    clamped once at the end; the node records the k + 1 product
-    applications it charges.
+        max( sum(twist_lowers) + phi0_lower + |n| * tc_lower - (k + 1), 0 ).
     """
     twist_lowers = tuple(twist_lowers)
     for bound in (*twist_lowers, phi0_lower, tc_lower):
         if bound.kind is not BoundKind.LOWER:
             raise PreconditionError("chain inputs must be lower bounds")
-    k = len(twist_lowers)
-    power_node = derive_power(tc_lower, n)
-    total = (
-        sum((b.value for b in twist_lowers), Fraction(0))
-        + phi0_lower.value
-        + power_node.result.value
-        - (k + 1)
-    )
-    result = lower(total, "composite monodromy")
-    return Derivation(
-        Rule.CHAIN,
-        (*twist_lowers, phi0_lower, power_node),
-        result,
-        (("products_applied", k + 1), ("zero_terms", 0)),
-    )
+    inputs = (*twist_lowers, phi0_lower, derive_power(tc_lower, n))
+    return derive_chain(inputs, 0, "composite monodromy")
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +290,23 @@ class HeightQuery:
 
 @dataclass(frozen=True)
 class HeightResult:
-    """Certified lower bound with the binding derivations.
+    """Certified lower bound for a query, with the binding derivations.
 
-    For h_lb > 0 the list holds four entries: the chain lower bound and
-    model upper bound at k = h_lb - 1 (contradictory, excluding that many
-    plumbings) followed by the same pair at k = h_lb (compatible, so the
-    search stops).  For h_lb = 0 only the compatible pair is present.
+    ``derivations`` is built when first read, once per result.  For
+    h_lb > 0 it holds four entries: the chain lower bound and model upper
+    bound at k = h_lb - 1 (contradictory, excluding that many plumbings)
+    followed by the same pair at k = h_lb (compatible, so the search
+    stops).  For h_lb = 0 only the compatible pair is present.
     Monotonicity of the two sides extends the exclusion to every smaller k.
     """
 
+    query: HeightQuery
     h_lb: int
-    derivations: tuple[Derivation, ...]
+
+    @cached_property
+    def derivations(self) -> tuple[Derivation, ...]:
+        steps = (self.h_lb - 1, self.h_lb) if self.h_lb > 0 else (0,)
+        return tuple(node for k in steps for node in _step_derivations(self.query, k))
 
 
 def stabilisation_betti(query: HeightQuery, k: int) -> int:
@@ -327,13 +335,8 @@ def _step_derivations(query: HeightQuery, k: int) -> tuple[Derivation, Derivatio
     g = capped_genus(query, k)
     m = stabilisation_betti(query, k)
     power_node = derive_power(derive_korkmaz(g), query.n)
-    zero_terms = k + 7  # k + 6 plumbed twists and the base map, all bounded by 0
-    chain = Derivation(
-        Rule.CHAIN,
-        (power_node,),
-        lower(power_node.result.value - (k + 7), f"capped monodromy, {k} plumbings"),
-        (("products_applied", k + 7), ("zero_terms", zero_terms)),
-    )
+    # k + 6 plumbed twists and the base map, all bounded by 0
+    chain = derive_chain((power_node,), k + 7, f"capped monodromy, {k} plumbings")
     cap = derive_cap(chain, f"stabilised monodromy, {k} plumbings")
     model_node = Derivation(
         Rule.MODEL,
@@ -388,8 +391,4 @@ def height_lower_bound(query: HeightQuery) -> HeightResult:
             else:
                 hi = mid
         h_lb = hi
-    derivations: list[Derivation] = []
-    if h_lb > 0:
-        derivations.extend(_step_derivations(query, h_lb - 1))
-    derivations.extend(_step_derivations(query, h_lb))
-    return HeightResult(h_lb, tuple(derivations))
+    return HeightResult(query, h_lb)

@@ -1,11 +1,15 @@
 """The command-line workbench: reports, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from twistlab import cli
+from twistlab import cli, homology
 from twistlab.errors import VerificationError
+from twistlab.homology import HomologyMatrix
+from twistlab.pants import PANTS_SURFACE
+from twistlab.sclbound import Derivation
 
 
 def run_cli(capsys, *argv):
@@ -301,3 +305,103 @@ def test_sweep_size_is_capped(capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith(f"{10**15}\t")
     assert len(out.splitlines()) == 1002
+
+
+def test_pants_verify_requires_identity_action(capsys, monkeypatch):
+    # A unipotent action still has polynomial (t - 1)^2 and value 0 at 1,
+    # so only the identity check catches a fold that returns it.
+    fold = homology.word_action
+
+    def unipotent_on_pants(word):
+        if word.surface == PANTS_SURFACE:
+            return HomologyMatrix(((1, 1), (0, 1)), PANTS_SURFACE)
+        return fold(word)
+
+    monkeypatch.setattr(homology, "word_action", unipotent_on_pants)
+    monkeypatch.setattr(cli, "word_action", unipotent_on_pants)
+    code, out, err = run_cli(capsys, "pants", "--n", "3", "--verify")
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "verification",
+        "message": "pants family must act trivially on homology",
+    }
+
+
+def test_homology_rank_is_capped(capsys, tmp_path):
+    assert cli.MAX_RANK == 200
+    classes = tmp_path / "classes.json"
+    classes.write_text('["a1"]')
+    code, out, _ = run_cli(capsys, "twistlb", "--surface", "100,1", "--classes", str(classes))
+    assert code == 0 and json.loads(out)["surface"]["betti"] == 200
+    cases = [
+        ("twistlb", "--surface", "101,1", "--classes", str(classes)),
+        ("alexander", "--surface", "100000,1", "--word", "a1"),
+        ("alexander", "--surface", "0,202", "--word", "d1"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "precondition", argv
+    # heightlb reads only b1 from the surface
+    code, out, _ = run_cli(capsys, "heightlb", "--surface", "100000,1", "--n", "5")
+    assert code == 0 and json.loads(out)["fibre_b1"] == 200_000
+
+
+# sha256 and length of stdout, captured from an implementation that built
+# every derivation eagerly and replayed every subtree under --verify; the
+# reports must not depend on how derivations are built or checked.
+GOLDEN_REPORTS = {
+    ("sclbound", "--tc", "1/48", "--twists", "1/48,1/48", "--n", "480", "--verify"): (
+        "924be9573ab122f570f6def2e0ed445e01405bfa87ab2eb99556dd1a117ee009",
+        1311,
+    ),
+    ("sclbound", "--tc", "3/11", "--phi0", "1/5", "--twists", "2/7,1/3", "--n=-13"): (
+        "5ea7d1191f339edad997c1347a8af39b5f6ef40bf9d2f5f7bd18e895369bd781",
+        1294,
+    ),
+    ("heightlb", "--fibre-b1", "2", "--n", "123456", "--verify"): (
+        "1a6e36f207a84952c74dcb5bd1ab23142417fa6bb5f929ab0301721f54c9df0d",
+        3418,
+    ),
+    ("heightlb", "--fibre-b1", "2", "--n", "0", "--verify"): (
+        "4195cc61ede65f5b60de3dfff5f8e63d75b1f90b632ec4f0d5fbacec266bcbd0",
+        1785,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_derivation_reports_match_golden_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_REPORTS[argv]
+
+
+@pytest.fixture
+def derivation_nodes(monkeypatch):
+    """Counts the Derivation nodes built while the test runs."""
+    built = []
+    init = Derivation.__init__
+
+    def counting_init(node, *args, **kwargs):
+        built.append(node)
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(Derivation, "__init__", counting_init)
+    return built
+
+
+def test_heightlb_builds_derivations_only_when_read(capsys, derivation_nodes):
+    code, out, _ = run_cli(capsys, "heightlb", "--fibre-b1", "2", "--n", "0..500")
+    assert code == 0 and "derivations" not in json.loads(out)
+    assert derivation_nodes == []
+    # A single n prints its trees: 5 nodes per step, steps h_lb - 1 and h_lb.
+    code, out, _ = run_cli(capsys, "heightlb", "--fibre-b1", "2", "--n", "123456")
+    assert code == 0 and len(json.loads(out)["derivations"]) == 4
+    assert len(derivation_nodes) == 10
+    # --verify checks the trees of every n of a sweep.
+    del derivation_nodes[:]
+    code, out, _ = run_cli(capsys, "heightlb", "--fibre-b1", "2", "--n", "0,123456", "--verify")
+    assert code == 0 and "derivations" not in json.loads(out)
+    assert len(derivation_nodes) == 5 + 10

@@ -27,6 +27,7 @@ from twistlab import (
     replay,
     verify_derivation,
 )
+from twistlab import sclbound
 from twistlab.sclbound import (
     capped_genus,
     derive_cap,
@@ -139,6 +140,117 @@ def test_derivation_replay_detects_tampering():
         chain.rule, (*chain.inputs[:-1], forged_child), chain.result, chain.params
     )
     assert not verify_derivation(wrapped)
+
+
+def _items(tree, path=()):
+    """Every (path, item) of a derivation tree, leaf bounds included, root first."""
+    yield path, tree
+    if isinstance(tree, Derivation):
+        for i, item in enumerate(tree.inputs):
+            yield from _items(item, (*path, i))
+
+
+def _with_item(tree, path, item):
+    """The tree with the item at ``path`` replaced; every stored result kept."""
+    if not path:
+        return item
+    inputs = list(tree.inputs)
+    inputs[path[0]] = _with_item(inputs[path[0]], path[1:], item)
+    return Derivation(tree.rule, tuple(inputs), tree.result, tree.params)
+
+
+def _forgeries(item):
+    bound = item.result if isinstance(item, Derivation) else item
+    flipped = BoundKind.UPPER if bound.kind is BoundKind.LOWER else BoundKind.LOWER
+    for forged in (
+        RationalBound(bound.value + 1, bound.kind, bound.subject),
+        RationalBound(bound.value / 2, bound.kind, bound.subject),
+        RationalBound(bound.value, flipped, bound.subject),
+        RationalBound(bound.value, bound.kind, "a different subject"),
+    ):
+        if isinstance(item, Derivation):
+            yield Derivation(item.rule, item.inputs, forged, item.params)
+        else:
+            yield forged
+
+
+def replay_oracle(tree) -> bool:
+    """Full recompute: every node's replayed bound equals its stored result."""
+    return all(
+        (replay(item).value, replay(item).kind) == (item.result.value, item.result.kind)
+        for _, item in _items(tree)
+        if isinstance(item, Derivation)
+    )
+
+
+def test_verify_agrees_with_replay_at_every_node_under_forgery():
+    chain = chain_lower(
+        [lower(Fraction(2, 7)), lower(Fraction(1, 3))],
+        lower(Fraction(1, 5)),
+        lower(Fraction(3, 11)),
+        -13,
+    )
+    trees = (chain, *height_lower_bound(HeightQuery(2, 123_456)).derivations)
+    outcomes = []
+    for tree in trees:
+        assert verify_derivation(tree) and replay_oracle(tree)
+        for path, item in _items(tree):
+            for forged in _forgeries(item):
+                tree_forged = _with_item(tree, path, forged)
+                outcome = verify_derivation(tree_forged)
+                assert outcome == replay_oracle(tree_forged), (path, forged)
+                outcomes.append(outcome)
+    assert True in outcomes and False in outcomes
+
+
+def test_verify_applies_each_rule_once(monkeypatch):
+    cap = height_lower_bound(HeightQuery(2, 123_456)).derivations[0]
+    assert cap.rule is Rule.CAP
+    applied = []
+    apply_rule = sclbound._apply_rule
+
+    def counting(derivation, values):
+        applied.append(derivation)
+        return apply_rule(derivation, values)
+
+    monkeypatch.setattr(sclbound, "_apply_rule", counting)
+    assert verify_derivation(cap)
+    # CAP -> CHAIN -> POWER -> KORKMAZ: one application per node.
+    assert [node.rule for node in applied] == [Rule.KORKMAZ, Rule.POWER, Rule.CHAIN, Rule.CAP]
+    del applied[:]
+    assert replay(cap).value == cap.result.value
+    assert len(applied) == 4
+
+
+def test_height_derivations_built_once_when_read(monkeypatch):
+    built = []
+    init = Derivation.__init__
+
+    def counting_init(node, *args, **kwargs):
+        built.append(node)
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(Derivation, "__init__", counting_init)
+    result = height_lower_bound(HeightQuery(2, 123_456))
+    assert result.h_lb > 0 and built == []
+    first = result.derivations
+    assert len(first) == 4 and len(built) == 10
+    assert result.derivations is first and len(built) == 10
+
+
+def test_one_chain_builder():
+    tc = lower(Fraction(3, 11))
+    twists = [lower(Fraction(2, 7)), lower(Fraction(1, 3))]
+    chain = chain_lower(twists, lower(Fraction(1, 5)), tc, -13)
+    rebuilt = sclbound.derive_chain(
+        (*twists, lower(Fraction(1, 5)), derive_power(tc, -13)), 0, "composite monodromy"
+    )
+    assert rebuilt == chain
+    assert chain.params == (("products_applied", 3), ("zero_terms", 0))
+    step = sclbound.derive_chain((derive_power(derive_korkmaz(3), 480),), 7, "capped")
+    assert step.params == (("products_applied", 7), ("zero_terms", 7))
+    assert step.result.value == 3
+    assert sclbound.derive_chain((derive_power(derive_korkmaz(3), 48),), 7, "").result.value == 0
 
 
 def test_replay_reproduces_bits():
