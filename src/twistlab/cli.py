@@ -21,7 +21,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import reporting
@@ -138,17 +137,11 @@ def _check_sweep_size(count: int) -> None:
         )
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
-    if not text.strip():
-        return []
-    return [reporting.parse_rational(part) for part in text.split(",")]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _run_alexander(args) -> str:
+def _run_alexander(args):
     surface = _parse_surface(args.surface)
     word, canonical = canonicalize_word(args.word, surface)
     report = alexander_report(word)
@@ -165,21 +158,15 @@ def _run_alexander(args) -> str:
     if args.verify:
         _verify_alexander(word, report)
         doc["verified"] = True
-    if args.format == "tsv":
-        return reporting.tsv_text(
-            ("genus", "boundary", "word", "polynomial", "delta_one", "classification"),
-            [
-                (
-                    surface.genus,
-                    surface.boundary,
-                    canonical,
-                    doc["characteristic_polynomial"]["text"],
-                    report.delta_one,
-                    report.classification.value,
-                )
-            ],
-        )
-    return reporting.dumps(doc)
+    row = (
+        surface.genus,
+        surface.boundary,
+        canonical,
+        doc["characteristic_polynomial"]["text"],
+        report.delta_one,
+        report.classification.value,
+    )
+    return doc, reporting.ALEXANDER_ROW, [row]
 
 
 def _verify_alexander(word: TwistWord, report) -> None:
@@ -200,7 +187,7 @@ def _load_classes(path: str, surface: Surface):
         raise ParseError(MALFORMED_CLASSES_FILE, f"cannot read {path}: {exc}") from exc
     try:
         entries = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer too long to read
         raise ParseError(MALFORMED_CLASSES_FILE, f"{path} is not valid JSON") from exc
     if not isinstance(entries, list):
         raise ParseError(MALFORMED_CLASSES_FILE, "classes file must hold a JSON array")
@@ -226,7 +213,11 @@ def _load_classes(path: str, surface: Surface):
     return classes
 
 
-def _certificate_battery(cert, count: int = 100) -> int:
+# Random words that twistlb --verify checks against a certificate.
+BATTERY_WORDS = 100
+
+
+def _certificate_battery(cert) -> int:
     """Deterministic random words over the certified classes; all must verify."""
     rng = random.Random(0)
     classes = list(cert.classes)
@@ -235,7 +226,7 @@ def _certificate_battery(cert, count: int = 100) -> int:
             raise VerificationError("empty word failed certificate verification")
         return 1
     exponents = [e for e in range(-5, 6) if e != 0]
-    for index in range(count):
+    for index in range(BATTERY_WORDS):
         length = rng.randint(0, 2 * len(classes) + 3)
         letters = tuple(
             TwistLetter(rng.choice(classes), rng.choice(exponents))
@@ -243,10 +234,10 @@ def _certificate_battery(cert, count: int = 100) -> int:
         )
         if not verify_certificate(cert, TwistWord(letters, cert.surface)):
             raise VerificationError(f"certificate verification failed on word {index}")
-    return count
+    return BATTERY_WORDS
 
 
-def _run_twistlb(args) -> str:
+def _run_twistlb(args):
     surface = _parse_surface(args.surface)
     classes = _load_classes(args.classes, surface)
     cert = knot_monodromy_obstruction(surface.genus, classes, surface)
@@ -261,80 +252,54 @@ def _run_twistlb(args) -> str:
         "certificate": reporting.certificate_doc(cert) if cert is not None else None,
     }
     if args.verify:
-        if cert is not None:
-            words = _certificate_battery(cert)
-            doc["verification"] = {"words": words, "passed": True}
-        else:
-            doc["verification"] = {"words": 0, "passed": True}
-    if args.format == "tsv":
-        witness = " ".join(str(v) for v in cert.witness) if cert is not None else "-"
-        return reporting.tsv_text(
-            (
-                "genus",
-                "boundary",
-                "distinct_classes",
-                "required_distinct_classes",
-                "applicable",
-                "witness",
-            ),
-            [
-                (
-                    surface.genus,
-                    surface.boundary,
-                    distinct,
-                    2 * surface.genus,
-                    cert is not None,
-                    witness,
-                )
-            ],
-        )
-    return reporting.dumps(doc)
+        words = _certificate_battery(cert) if cert is not None else 0
+        doc["verification"] = {"words": words, "passed": True}
+    row = (
+        surface.genus,
+        surface.boundary,
+        distinct,
+        2 * surface.genus,
+        cert is not None,
+        reporting.witness_text(cert),
+    )
+    return doc, reporting.TWISTLB_ROW, [row]
 
 
-def _run_sclbound(args) -> str:
+def _run_sclbound(args):
     ns = _parse_sweep(args.n)
     if len(ns) != 1:
         raise ParseError(MALFORMED_RANGE, "sclbound takes a single n", args.n)
     n = ns[0]
     twists = [
-        lower(value, f"twist factor {i + 1}")
-        for i, value in enumerate(_parse_rational_list(args.twists))
+        lower(reporting.parse_rational(text), f"twist factor {i + 1}")
+        for i, text in enumerate(args.twists.split(",") if args.twists.strip() else [])
     ]
     phi0 = lower(reporting.parse_rational(args.phi0), "base monodromy")
     tc = lower(reporting.parse_rational(args.tc), "surgery twist")
     chain = chain_lower(twists, phi0, tc, n)
+    phi0_text = reporting.fraction_text(phi0.value)
+    tc_text = reporting.fraction_text(tc.value)
+    value_text = reporting.fraction_text(chain.result.value)
     doc = {
         "command": "sclbound",
         "inputs": {
             "twist_lower_bounds": [reporting.fraction_text(b.value) for b in twists],
-            "phi0_lower_bound": reporting.fraction_text(phi0.value),
-            "tc_lower_bound": reporting.fraction_text(tc.value),
+            "phi0_lower_bound": phi0_text,
+            "tc_lower_bound": tc_text,
             "n": n,
         },
-        "value": reporting.fraction_text(chain.result.value),
+        "value": value_text,
         "derivation": reporting.derivation_doc(chain),
     }
     if args.verify:
         if not verify_derivation(chain):
             raise VerificationError("derivation replay does not reproduce the bound")
         doc["verified"] = True
-    if args.format == "tsv":
-        return reporting.tsv_text(
-            ("k", "phi0", "tc", "n", "value"),
-            [
-                (
-                    len(twists),
-                    reporting.fraction_text(phi0.value),
-                    reporting.fraction_text(tc.value),
-                    n,
-                    reporting.fraction_text(chain.result.value),
-                )
-            ],
-        )
-    return reporting.dumps(doc)
+    row = (len(twists), phi0_text, tc_text, n, value_text)
+    return doc, reporting.SCLBOUND_ROW, [row]
 
 
-def _run_heightlb(args) -> str:
+def _run_heightlb(args):
     if args.fibre_b1 is not None:
         fibre_b1 = args.fibre_b1
     elif args.surface is not None:
@@ -346,6 +311,7 @@ def _run_heightlb(args) -> str:
     model = _parse_model(args.model)
     ns = _parse_sweep(args.n)
     results = [height_lower_bound(HeightQuery(fibre_b1, n, model)) for n in ns]
+    rows = [(n, result.h_lb) for n, result in zip(ns, results)]
     doc = {
         "command": "heightlb",
         "fibre_b1": fibre_b1,
@@ -354,7 +320,7 @@ def _run_heightlb(args) -> str:
             "alpha": reporting.fraction_text(model.alpha),
             "beta": reporting.fraction_text(model.beta),
         },
-        "rows": [(n, result.h_lb) for n, result in zip(ns, results)],
+        "rows": rows,
     }
     if len(ns) == 1:
         doc["derivations"] = [
@@ -364,7 +330,7 @@ def _run_heightlb(args) -> str:
         for result in results:
             _verify_height(result)
         doc["verified"] = True
-    return reporting.sweep_report(doc, reporting.HEIGHT_ROW, args.format)
+    return doc, reporting.HEIGHT_ROW, rows
 
 
 def _verify_height(result) -> None:
@@ -396,7 +362,7 @@ def _verify_pants(n: int) -> None:
         raise VerificationError("pants family must act trivially on homology")
 
 
-def _run_pants(args) -> str:
+def _run_pants(args):
     ns = _parse_sweep(args.n)
     rows = []
     for n in ns:
@@ -420,7 +386,7 @@ def _run_pants(args) -> str:
         for n in ns:
             _verify_pants(n)
         doc["verified"] = True
-    return reporting.sweep_report(doc, reporting.PANTS_ROW, args.format)
+    return doc, reporting.PANTS_ROW, rows
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each handler returns the JSON document, the row schema and the rows that
+# reporting.render turns into the report.
 _HANDLERS = {
     "alexander": _run_alexander,
     "twistlb": _run_twistlb,
@@ -493,7 +461,7 @@ def _emit_error(code: str, message: str, token: str | None = None) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        text = _HANDLERS[args.command](args)
+        text = reporting.render(*_HANDLERS[args.command](args), args.format)
     except ParseError as exc:
         _emit_error(exc.code, str(exc), exc.token)
         return 2

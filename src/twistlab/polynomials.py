@@ -52,8 +52,8 @@ class IntegerPolynomial:
         return polynomial_text(self)
 
 
-def polynomial_text(poly: IntegerPolynomial, variable: str = "t") -> str:
-    """Render with terms in descending degree, e.g. ``t^2 - t + 1``."""
+def polynomial_text(poly: IntegerPolynomial) -> str:
+    """Render in ``t`` with terms in descending degree, e.g. ``t^2 - t + 1``."""
     if poly.is_zero:
         return "0"
     terms = []
@@ -65,9 +65,9 @@ def polynomial_text(poly: IntegerPolynomial, variable: str = "t") -> str:
         if k == 0:
             body = str(mag)
         elif k == 1:
-            body = variable if mag == 1 else f"{mag}{variable}"
+            body = "t" if mag == 1 else f"{mag}t"
         else:
-            body = f"{variable}^{k}" if mag == 1 else f"{mag}{variable}^{k}"
+            body = f"t^{k}" if mag == 1 else f"{mag}t^{k}"
         terms.append((c < 0, body))
     negative, body = terms[0]
     out = ("-" if negative else "") + body

@@ -4,21 +4,25 @@ Rationals are always rendered as reduced ``p/q`` strings with positive
 denominator (never floats); documents are plain dicts built in a fixed
 field order so identical inputs give byte-identical output.
 
-Sweep subcommands (``pants``, ``heightlb``) give their rows as tuples of
-scalars described by one ``RowSchema`` each, which renders both formats:
-rows go through a JSON row template compiled once from
-``json.dumps(..., indent=2)``, so the output is byte-identical to dumping
-the row dicts, and the TSV columns are read off the same schema.
+Each subcommand gives ``render`` its document, its one ``RowSchema`` and
+its rows as tuples of scalars; ``render`` alone picks the format.  A
+sweep (``pants``, ``heightlb``) also holds its rows in the document,
+where they go through a JSON row template compiled once from
+``json.dumps(..., indent=2)``, byte-identical to dumping row dicts.  A
+report integer past the interpreter's digit limit for integer text is a
+precondition failure (exit 3).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+import sys
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .obstruction import ObstructionCertificate
 from .pants import ARC_NAMES
 from .polynomials import IntegerPolynomial, polynomial_text
@@ -27,20 +31,41 @@ from .homology import Surface, pair
 
 MALFORMED_RATIONAL = "malformed_rational"
 
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+
+def _within_digit_limit(function):
+    """Turn the ValueError of an integer too long to write as text into exit 3."""
+
+    @functools.wraps(function)
+    def checked(*args):
+        try:
+            return function(*args)
+        except ValueError as exc:
+            raise PreconditionError(
+                f"the report holds an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+                f"limit for integer text"
+            ) from exc
+
+    return checked
+
+
+@_within_digit_limit
 def fraction_text(value) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accept ``p/q`` or a bare integer."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(
-            MALFORMED_RATIONAL, f"cannot read rational {text!r}", token=text
-        ) from exc
+    """Accept ``[+-]digits[/digits]``, surrounding whitespace trimmed."""
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is not None:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass  # too many digits, or a zero denominator
+    raise ParseError(MALFORMED_RATIONAL, f"cannot read rational {text!r}", token=text)
 
 
 def surface_doc(surface: Surface) -> dict:
@@ -51,6 +76,7 @@ def surface_doc(surface: Surface) -> dict:
     }
 
 
+@_within_digit_limit
 def polynomial_doc(poly: IntegerPolynomial) -> dict:
     return {
         "text": polynomial_text(poly),
@@ -88,6 +114,12 @@ def derivation_doc(derivation: Derivation) -> dict:
     }
 
 
+@_within_digit_limit
+def witness_text(cert: ObstructionCertificate | None) -> str:
+    """The witness as one TSV cell: its coordinates, or ``-`` without one."""
+    return " ".join(map(str, cert.witness)) if cert is not None else "-"
+
+
 def certificate_doc(cert: ObstructionCertificate) -> dict:
     return {
         "surface": surface_doc(cert.surface),
@@ -115,7 +147,7 @@ def dumps(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sweep rows
+# report rows
 
 # Placeholders never equal a report string: those hold no NUL character.
 _FIRST, _SECOND = "\0first", "\0second"
@@ -139,20 +171,33 @@ def cell(column: str) -> str:
 
 
 class RowSchema:
-    """The rows of one sweep subcommand, rendered as JSON and as TSV.
+    """The rows of one subcommand: TSV always, JSON for a sweep's rows.
 
     A row is a tuple of scalars, one per entry of ``columns`` (column name
-    to ``int`` or ``bool``) in that order.  ``shape`` is the JSON of one
-    row in the report, with ``cell(name)`` where each column's value goes;
-    ``tsv`` names the TSV columns in order.  Both formats write a boolean
-    as ``true``/``false`` and an integer in decimal.
+    to ``int``, ``bool`` or ``str``) in that order.  ``tsv`` names the TSV
+    columns in order, all of them by default.  ``shape``, given only by
+    the sweep subcommands, is the JSON of one row in the report, with
+    ``cell(name)`` where each column's value goes; it holds no ``str``
+    column, whose text would need JSON escaping.  Both formats write a
+    boolean as ``true``/``false`` and an integer in decimal.
     """
 
-    def __init__(self, columns: dict[str, type], shape: dict, tsv: tuple[str, ...]):
-        names = list(columns)
-        if not set(columns.values()) <= {int, bool}:
-            raise ValueError("row columns must be int or bool")
-        self._bools = tuple(i for i, kind in enumerate(columns.values()) if kind is bool)
+    def __init__(
+        self,
+        columns: dict[str, type],
+        shape: dict | None = None,
+        tsv: tuple[str, ...] | None = None,
+    ):
+        names, kinds = list(columns), list(columns.values())
+        if not set(kinds) <= {int, bool, str}:
+            raise ValueError("row columns must be int, bool or str")
+        self._bools = tuple(i for i, kind in enumerate(kinds) if kind is bool)
+        tsv = names if tsv is None else tsv
+        self._tsv_header = "\t".join(tsv) + "\n"
+        self._tsv = "\t".join(["%s"] * len(tsv)) + "\n"
+        self._tsv_cells = itemgetter(*(names.index(name) for name in tsv))
+        if shape is None:
+            return
         order: list[int] = []
 
         def slot(match) -> str:
@@ -162,10 +207,9 @@ class RowSchema:
         shaped = json.dumps({"rows": [shape]}, indent=2)
         row_text = shaped[len(_ROWS_HEAD) : -len(_ROWS_TAIL)].replace("%", "%%")
         self._json = re.sub(r'"\\u0000([^"\\]*)"', slot, row_text)
+        if any(kinds[i] is str for i in order):
+            raise ValueError("str columns cannot be placed in a JSON shape")
         self._json_cells = itemgetter(*order)
-        self._tsv_header = "\t".join(tsv) + "\n"
-        self._tsv = "\t".join(["%s"] * len(tsv)) + "\n"
-        self._tsv_cells = itemgetter(*(names.index(name) for name in tsv))
 
     def _texts(self, row) -> list:
         texts = list(row)
@@ -184,78 +228,53 @@ class RowSchema:
         return self._tsv_header + "".join(lines)
 
 
+ALEXANDER_ROW = RowSchema(
+    dict(genus=int, boundary=int, word=str, polynomial=str, delta_one=int, classification=str)
+)
+
+TWISTLB_ROW = RowSchema(
+    dict(genus=int, boundary=int, distinct_classes=int, required_distinct_classes=int)
+    | dict(applicable=bool, witness=str)
+)
+
+SCLBOUND_ROW = RowSchema(dict(k=int, phi0=str, tc=str, n=int, value=str))
+
+_ARCS = [f"arc_{arc}" for arc in ARC_NAMES]
+_HOPFS = [f"hopf_{arc}" for arc in ARC_NAMES]
+
 PANTS_ROW = RowSchema(
-    {
-        "n": int,
-        "a": int,
-        "b": int,
-        "c": int,
-        "twist_length": int,
-        "arc_ab": int,
-        "arc_bc": int,
-        "arc_ac": int,
-        "hopf_ab": bool,
-        "hopf_bc": bool,
-        "hopf_ac": bool,
-        "obstructed": bool,
-    },
+    dict.fromkeys(["n", "a", "b", "c", "twist_length", *_ARCS], int)
+    | dict.fromkeys([*_HOPFS, "obstructed"], bool),
     shape={
         "n": cell("n"),
         "exponents": {"a": cell("a"), "b": cell("b"), "c": cell("c")},
         "twist_length": cell("twist_length"),
         "cuts": [
-            {
-                "arc": arc,
-                "full_twists": cell(f"arc_{arc}"),
-                "is_hopf_band": cell(f"hopf_{arc}"),
-            }
-            for arc in ARC_NAMES
+            {"arc": arc, "full_twists": cell(full), "is_hopf_band": cell(hopf)}
+            for arc, full, hopf in zip(ARC_NAMES, _ARCS, _HOPFS)
         ],
         "deplumbing_obstructed": cell("obstructed"),
     },
-    tsv=(
-        "n",
-        "twist_length",
-        "arc_ab",
-        "arc_bc",
-        "arc_ac",
-        "hopf_ab",
-        "hopf_bc",
-        "hopf_ac",
-        "obstructed",
-    ),
+    tsv=("n", "twist_length", *_ARCS, *_HOPFS, "obstructed"),
 )
 
 HEIGHT_ROW = RowSchema(
     {"n": int, "h_lb": int},
     shape={"n": cell("n"), "h_lb": cell("h_lb")},
-    tsv=("n", "h_lb"),
 )
 
 
-def sweep_report(doc: dict, schema: RowSchema, fmt: str) -> str:
-    """``doc`` as JSON, or its rows as TSV; ``doc["rows"]`` holds row tuples.
+@_within_digit_limit
+def render(doc: dict, schema: RowSchema, rows, fmt: str) -> str:
+    """The report in ``fmt``: ``rows`` as TSV, or ``doc`` as JSON.
 
-    The rest of the document goes through ``dumps`` and the rendered rows
-    are spliced in where its "rows" list sits.
+    A sweep's document holds its row tuples under "rows": the rest of the
+    document goes through ``dumps`` and the rows, rendered through the
+    schema's JSON template, are spliced in where that list sits.
     """
-    rows = doc["rows"]
     if fmt == "tsv":
         return schema.tsv(rows)
-    if not rows:
+    if "rows" not in doc or not rows:
         return dumps(doc)
     head, _, tail = dumps({**doc, "rows": [_FIRST]}).partition(json.dumps(_FIRST))
     return head + schema.json_rows(rows) + tail
-
-
-def tsv_text(header, rows) -> str:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)

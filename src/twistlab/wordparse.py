@@ -6,8 +6,10 @@ are basis names (``a1``, ``b2``, ``d1``) or explicit integer coordinate
 vectors such as ``[1,0,-2]`` (no whitespace inside the brackets).
 Exponents are nonzero integers; ``^1`` is dropped in canonical form.
 
-Errors carry one of four stable codes: ``unknown_token``,
-``index_out_of_range``, ``malformed_exponent``,
+An index, coordinate or exponent of more digits than the interpreter
+reads as an integer (``sys.get_int_max_str_digits()``) is refused with
+the code of its place.  Errors carry one of four stable codes:
+``unknown_token``, ``index_out_of_range``, ``malformed_exponent``,
 ``vector_length_mismatch``.
 """
 
@@ -28,12 +30,21 @@ _VECTOR_RE = re.compile(r"\[(-?[0-9]+(?:,-?[0-9]+)*)\]")
 _EXPONENT_RE = re.compile(r"-?[0-9]+")
 
 
+def _integer(digits: str, code: str, token: str) -> int:
+    """``int(digits)`` for digits the grammar matched, or a ParseError with
+    ``code`` when there are more than the interpreter reads."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(code, f"{token!r} holds too many digits", token=token) from None
+
+
 def parse_class(text: str, surface: Surface) -> HomologyClass:
     """Parse one curve token (basis name or coordinate vector)."""
     match = _BASIS_RE.fullmatch(text)
     if match:
         family, index_text = match.groups()
-        index = int(index_text)
+        index = _integer(index_text, INDEX_OUT_OF_RANGE, text)
         limit = surface.genus if family in ("a", "b") else max(surface.boundary - 1, 0)
         if not 1 <= index <= limit:
             raise ParseError(
@@ -46,7 +57,7 @@ def parse_class(text: str, surface: Surface) -> HomologyClass:
         return getattr(surface, family)(index)
     match = _VECTOR_RE.fullmatch(text)
     if match:
-        coords = tuple(int(part) for part in match.group(1).split(","))
+        coords = tuple(_integer(part, UNKNOWN_TOKEN, text) for part in match.group(1).split(","))
         if len(coords) != surface.betti:
             raise ParseError(
                 VECTOR_LENGTH_MISMATCH,
@@ -67,7 +78,7 @@ def _parse_letter(token: str, surface: Surface) -> tuple[TwistLetter, str]:
                 f"exponent {exponent_text!r} is not an integer",
                 token=token,
             )
-        exponent = int(exponent_text)
+        exponent = _integer(exponent_text, MALFORMED_EXPONENT, token)
         if exponent == 0:
             raise ParseError(
                 MALFORMED_EXPONENT, "exponent must be nonzero", token=token

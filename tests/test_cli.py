@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from twistlab import cli, homology
-from twistlab.errors import VerificationError
+from twistlab import cli, homology, reporting
+from twistlab.errors import PreconditionError, VerificationError
 from twistlab.homology import HomologyMatrix
 from twistlab.pants import PANTS_SURFACE
 from twistlab.sclbound import Derivation
@@ -347,9 +349,18 @@ def test_homology_rank_is_capped(capsys, tmp_path):
     assert code == 0 and json.loads(out)["fibre_b1"] == 200_000
 
 
-# sha256 and length of stdout, captured from an implementation that built
-# every derivation eagerly and replayed every subtree under --verify; the
-# reports must not depend on how derivations are built or checked.
+# Classes files of the twistlb goldens, written under these names into the
+# test's directory; a report does not contain the path.
+CLASSES_FILES = {
+    "certified.json": ["a1", "b1", [0, 0, 1, 0]],
+    "uncertified.json": ["a1", "b1"],
+}
+
+# sha256 and length of stdout.  The first four were captured from an
+# implementation that built every derivation eagerly and replayed every
+# subtree under --verify; the rest from one that rendered the one-row
+# reports (alexander, twistlb, sclbound) as hand-built TSV tables.  The
+# reports must not depend on how derivations are built or rows rendered.
 GOLDEN_REPORTS = {
     ("sclbound", "--tc", "1/48", "--twists", "1/48,1/48", "--n", "480", "--verify"): (
         "924be9573ab122f570f6def2e0ed445e01405bfa87ab2eb99556dd1a117ee009",
@@ -367,12 +378,103 @@ GOLDEN_REPORTS = {
         "4195cc61ede65f5b60de3dfff5f8e63d75b1f90b632ec4f0d5fbacec266bcbd0",
         1785,
     ),
+    ("alexander", "--surface", "1,1", "--word", "a1 b1"): (
+        "f675ebeaf42bb72d0fa348e28380aac60525e0dd278b28fefa6528e8e3f75f70",
+        561,
+    ),
+    ("alexander", "--surface", "1,1", "--word", "a1 b1", "--verify"): (
+        "cded2c9c8c9d1a7c88e0e6e2c0acec5082badf6f9e8a3fa40b33bc6027f0cfd6",
+        581,
+    ),
+    ("alexander", "--surface", "1,1", "--word", "a1 b1", "--format", "tsv"): (
+        "8803341576e64c43b48c8d18d0174515162072a33087973bb2c7874e38546dbf",
+        96,
+    ),
+    ("alexander", "--surface", "1,1", "--word", "a1 b1", "--format", "tsv", "--verify"): (
+        "8803341576e64c43b48c8d18d0174515162072a33087973bb2c7874e38546dbf",
+        96,
+    ),
+    ("alexander", "--surface", "1,3", "--word", "a1 d1 b1^-2 [1,0,1,-1] d2^3"): (
+        "d180b0254a6ae173d305aee9115358199fb7c8def7bf3fccdcb19695a6d5ca7d",
+        801,
+    ),
+    ("alexander", "--surface", "1,3", "--word", "a1 d1 b1^-2 [1,0,1,-1] d2^3", "--verify"): (
+        "c40d91c3e7ab2f3ef98ece9c13752d80929d62046108403c95fa5b51060bbae8",
+        821,
+    ),
+    ("alexander", "--surface", "1,3", "--word", "a1 d1 b1^-2 [1,0,1,-1] d2^3", "--format", "tsv"): (
+        "8a18e19baf335b8c34420b8f8ec556aa09faa09350397d24e5105811c78a6493",
+        145,
+    ),
+    ("alexander", "--surface", "1,3", "--word", "a1 d1 b1^-2 [1,0,1,-1] d2^3", "--format", "tsv", "--verify"): (
+        "8a18e19baf335b8c34420b8f8ec556aa09faa09350397d24e5105811c78a6493",
+        145,
+    ),
+    ("twistlb", "--surface", "2,1", "--classes", "certified.json"): (
+        "2caf157ae98d84c2afbcc3362efc7784a11bfb2050d9b8c0136b8ef6c50eb063",
+        987,
+    ),
+    ("twistlb", "--surface", "2,1", "--classes", "certified.json", "--verify"): (
+        "878bad2c221b880164d9258a99380f14c318647e8db2cef2ee69520f01448e1c",
+        1049,
+    ),
+    ("twistlb", "--surface", "2,1", "--classes", "certified.json", "--format", "tsv"): (
+        "8b330c6887feba31697956fcc573815c1af6f975815318e49043b227fe814ebe",
+        98,
+    ),
+    ("twistlb", "--surface", "2,1", "--classes", "certified.json", "--format", "tsv", "--verify"): (
+        "8b330c6887feba31697956fcc573815c1af6f975815318e49043b227fe814ebe",
+        98,
+    ),
+    ("twistlb", "--surface", "1,1", "--classes", "uncertified.json"): (
+        "a2ab0df202ea0a607fec54bc072fde8acf253a03c1f76ebeb53c9a95509201ea",
+        281,
+    ),
+    ("twistlb", "--surface", "1,1", "--classes", "uncertified.json", "--verify"): (
+        "8360c79af0b69089d28691101355135da904aba89b6bd89c154e6dcec0d5404d",
+        341,
+    ),
+    ("twistlb", "--surface", "1,1", "--classes", "uncertified.json", "--format", "tsv"): (
+        "046060611962ad0a38a364d4d34f851194b92778c35c1b2bd2ccc99e534590a0",
+        93,
+    ),
+    ("twistlb", "--surface", "1,1", "--classes", "uncertified.json", "--format", "tsv", "--verify"): (
+        "046060611962ad0a38a364d4d34f851194b92778c35c1b2bd2ccc99e534590a0",
+        93,
+    ),
+    ("sclbound", "--tc", "1/48", "--twists", "1/48,1/48", "--n", "480"): (
+        "8aacd48ce9f1902fcdf5106c0e614d49fec025b5f1f9baa99b9885a10caaf15f",
+        1291,
+    ),
+    ("sclbound", "--tc", "1/48", "--twists", "1/48,1/48", "--n", "480", "--verify"): (
+        "924be9573ab122f570f6def2e0ed445e01405bfa87ab2eb99556dd1a117ee009",
+        1311,
+    ),
+    ("sclbound", "--tc", "1/48", "--twists", "1/48,1/48", "--n", "480", "--format", "tsv"): (
+        "f279c3344faee448a9e1586682894986587ffa0afe16a7713a163a7352c5d67e",
+        40,
+    ),
+    ("sclbound", "--tc", "1/48", "--twists", "1/48,1/48", "--n", "480", "--format", "tsv", "--verify"): (
+        "f279c3344faee448a9e1586682894986587ffa0afe16a7713a163a7352c5d67e",
+        40,
+    ),
+    ("pants", "--n=-7..7", "--format", "tsv", "--verify"): (
+        "947899a3df821355a5b1909621a8d0890a299e6d256c6314c8a391cc7212a9fe",
+        586,
+    ),
+    ("heightlb", "--fibre-b1", "2", "--n", "0..2000000..99999", "--format", "tsv"): (
+        "dbec0da9c0d854d2a455e24bcecd0c010b5101dcb7d88b44fed2db839fe756b9",
+        238,
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
-def test_derivation_reports_match_golden_bytes(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_derivation_reports_match_golden_bytes(capsys, tmp_path, argv):
+    for name, entries in CLASSES_FILES.items():
+        (tmp_path / name).write_text(json.dumps(entries))
+    real = [str(tmp_path / a) if a in CLASSES_FILES else a for a in argv]
+    code, out, err = run_cli(capsys, *real)
     assert code == 0 and err == ""
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_REPORTS[argv]
@@ -405,3 +507,70 @@ def test_heightlb_builds_derivations_only_when_read(capsys, derivation_nodes):
     code, out, _ = run_cli(capsys, "heightlb", "--fibre-b1", "2", "--n", "0,123456", "--verify")
     assert code == 0 and "derivations" not in json.loads(out)
     assert len(derivation_nodes) == 5 + 10
+
+
+LONG = "1" * 5000  # more digits than the interpreter reads as an integer
+
+
+@pytest.mark.parametrize(
+    "argv, classes, code",
+    [
+        (("alexander", "--surface", "1,1", "--word", f"[{LONG},0]"), None, "unknown_token"),
+        (("alexander", "--surface", "1,1", "--word", f"a1^{LONG}"), None, "malformed_exponent"),
+        (("alexander", "--surface", "1,1", "--word", f"a{LONG}"), None, "index_out_of_range"),
+        (("twistlb", "--surface", "1,1"), f"[[{LONG},0]]", "malformed_classes_file"),
+        (("twistlb", "--surface", "1,1"), f'["b{LONG}"]', "index_out_of_range"),
+    ],
+    ids=["vector", "exponent", "index", "classes-vector", "classes-token"],
+)
+def test_oversized_integer_tokens_exit_2(capsys, tmp_path, argv, classes, code):
+    if classes is not None:
+        path = tmp_path / "classes.json"
+        path.write_text(classes)
+        argv += ("--classes", str(path))
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("fmt", ("json", "tsv"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sclbound", "--tc", "1" + "0" * 3000, "--n", "1" + "0" * 3000),
+        ("alexander", "--surface", "1,1", "--word", f"a1^{'7' * 3001} b1^{'7' * 3001}"),
+        ("pants", f"--n={'9' * 4300}"),
+    ],
+    ids=["sclbound", "alexander", "pants"],
+)
+def test_report_integers_past_the_text_limit_exit_3(capsys, argv, fmt):
+    # The inputs are readable; the report's value, polynomial or twist
+    # length (n + 2) is not.
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "precondition"
+    assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
+
+
+def test_witness_past_the_text_limit_is_a_precondition():
+    with pytest.raises(PreconditionError, match="digits"):
+        reporting.witness_text(SimpleNamespace(witness=(1, 10**5000)))
+
+
+@pytest.mark.parametrize(
+    "text", ["2.5e-1", "0.5", "1e3", "1e9999999", "1_000", "1/0", "1/-2", "--1", "1 /2", "", "½"]
+)
+def test_rationals_follow_the_documented_grammar(capsys, text):
+    for argv in (
+        ("sclbound", f"--tc={text}", "--n", "5"),
+        ("sclbound", "--tc", "1/48", f"--twists=1/48,{text}", "--n", "5"),
+        ("heightlb", "--fibre-b1", "2", f"--model={text},1", "--n", "5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "malformed_rational", argv
+    code, out, _ = run_cli(
+        capsys, "sclbound", "--tc", " +3/6 ", "--phi0", "1/4\n", "--n", "5", "--format", "tsv"
+    )
+    assert code == 0 and out.splitlines()[1] == "0\t1/4\t1/2\t5\t7/4"

@@ -2,7 +2,8 @@
 
 The reference documents below are built the way the sweep subcommands
 built them before their row schemas: nested dicts through
-``json.dumps(indent=2)``, and hand-written TSV tuple tables.
+``json.dumps(indent=2)``, and hand-written TSV tuple tables through
+``tsv_text``.
 """
 
 import json
@@ -25,6 +26,19 @@ from twistlab.sclbound import (
     ModelFlag,
     height_lower_bound,
 )
+
+
+def tsv_text(header, rows) -> str:
+    lines = ["\t".join(header)]
+    for row in rows:
+        lines.append("\t".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def pants_reference(ns, verify, fmt) -> str:
@@ -52,7 +66,7 @@ def pants_reference(ns, verify, fmt) -> str:
             }
         )
     if fmt == "tsv":
-        return reporting.tsv_text(
+        return tsv_text(
             (
                 "n",
                 "twist_length",
@@ -94,7 +108,7 @@ def heightlb_reference(fibre_b1, ns, model_text, verify, fmt) -> str:
     results = {n: height_lower_bound(HeightQuery(fibre_b1, n, model)) for n in ns}
     rows = [{"n": n, "h_lb": results[n].h_lb} for n in ns]
     if fmt == "tsv":
-        return reporting.tsv_text(("n", "h_lb"), [(row["n"], row["h_lb"]) for row in rows])
+        return tsv_text(("n", "h_lb"), [(row["n"], row["h_lb"]) for row in rows])
     doc = {
         "command": "heightlb",
         "fibre_b1": fibre_b1,
@@ -171,10 +185,18 @@ def test_row_schema_template_matches_json_dumps():
     dicts = [{"x": x, "note": "50% off", "pair": [ok, {"y": y}]} for x, ok, y in rows]
     doc = {"command": "test", "rows": rows, "verified": True}
     expected = json.dumps({**doc, "rows": dicts}, indent=2) + "\n"
-    assert reporting.sweep_report(doc, schema, "json") == expected
-    assert reporting.sweep_report(doc, schema, "tsv") == reporting.tsv_text(
+    assert reporting.render(doc, schema, rows, "json") == expected
+    assert reporting.render(doc, schema, rows, "tsv") == tsv_text(
         ("y", "ok", "x"), [(y, ok, x) for x, ok, y in rows]
     )
     empty = {"command": "test", "rows": []}
-    assert reporting.sweep_report(empty, schema, "json") == reporting.dumps(empty)
-    assert reporting.sweep_report(empty, schema, "tsv") == "y\tok\tx\n"
+    assert reporting.render(empty, schema, [], "json") == reporting.dumps(empty)
+    assert reporting.render(empty, schema, [], "tsv") == "y\tok\tx\n"
+
+
+def test_row_schema_str_columns_render_in_tsv_only():
+    schema = RowSchema({"n": int, "word": str, "ok": bool})
+    assert schema.tsv([(3, "a1 b1^-2", True)]) == "n\tword\tok\n3\ta1 b1^-2\ttrue\n"
+    RowSchema({"n": int, "word": str}, shape={"n": cell("n")})
+    with pytest.raises(ValueError, match="str columns"):
+        RowSchema({"n": int, "word": str}, shape={"n": cell("n"), "word": cell("word")})
