@@ -10,9 +10,10 @@ output, rationals are reduced ``p/q`` strings, polynomial terms are in
 descending degree, sweep rows are in ascending n.  Exit codes: 0
 success, 2 parse error (argument errors included), 3 precondition
 violation, 4 internal verification failure.  Errors go to stderr as
-JSON.  A sweep holds at most ``MAX_SWEEP_VALUES`` values of n, and
+JSON.  Every input is parsed and bounded in ``wordparse``: a sweep
+holds at most ``wordparse.MAX_SWEEP_VALUES`` values of n, and
 ``alexander``/``twistlb`` take surfaces of homology rank at most
-``MAX_RANK``.
+``wordparse.MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import random
 import sys
 from pathlib import Path
 
-from . import reporting
+from . import reporting, wordparse
 from .errors import ParseError, PreconditionError, VerificationError
 from .homology import (
     HomologyMatrix,
-    Surface,
     TwistLetter,
     TwistWord,
     alexander_report,
@@ -44,10 +44,7 @@ from .pants import (
     pants_word,
 )
 from .sclbound import (
-    CBoundModel,
     HeightQuery,
-    ILLUSTRATIVE_MODEL,
-    ModelFlag,
     chain_lower,
     height_chain_bound,
     height_lower_bound,
@@ -55,86 +52,10 @@ from .sclbound import (
     lower,
     verify_derivation,
 )
-from .wordparse import canonicalize_word, parse_class
 
-MALFORMED_SURFACE = "malformed_surface"
-MALFORMED_MODEL = "malformed_model"
-MALFORMED_RANGE = "malformed_range"
-MALFORMED_CLASSES_FILE = "malformed_classes_file"
 MALFORMED_ARGUMENTS = "malformed_arguments"
 MISSING_ARGUMENT = "missing_argument"
 UNWRITABLE_OUTPUT = "unwritable_output"
-
-# Largest number of values one --n sweep may hold (exit 3 beyond it); the
-# 200,001 values of -100000..100000 fit.
-MAX_SWEEP_VALUES = 250_000
-_SWEEP_FORMS = "n must be an integer, 'lo..hi[..step]' or a comma list"
-
-# Largest homology rank (2g + b - 1) that alexander and twistlb accept
-# (exit 3 beyond it), checked before any vector or matrix is built: 5x the
-# benchmark's largest rank, 40.  heightlb reads only b1 and is not capped.
-MAX_RANK = 200
-
-
-def _parse_surface(text: str, max_rank: int | None = MAX_RANK) -> Surface:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(MALFORMED_SURFACE, "surface must be 'genus,boundary'", text)
-    try:
-        genus, boundary = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ParseError(MALFORMED_SURFACE, "surface must be 'genus,boundary'", text) from exc
-    surface = Surface(genus, boundary)
-    if max_rank is not None and surface.betti > max_rank:
-        raise PreconditionError(
-            f"surface has homology rank {surface.betti}; at most {max_rank} is allowed"
-        )
-    return surface
-
-
-def _parse_model(text: str | None) -> CBoundModel:
-    if text is None:
-        return ILLUSTRATIVE_MODEL
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(MALFORMED_MODEL, "model must be 'alpha,beta'", text)
-    alpha = reporting.parse_rational(parts[0])
-    beta = reporting.parse_rational(parts[1])
-    return CBoundModel(alpha, beta, ModelFlag.USER_SUPPLIED)
-
-
-def _parse_sweep(text: str) -> range | list[int]:
-    """``5`` | ``lo..hi`` | ``lo..hi..step`` | comma-separated list.
-
-    The values come back ascending and without repeats; a range is
-    returned as a ``range`` and counted without being built.
-    """
-    parts = text.split("..")
-    if len(parts) in (2, 3):
-        lo, hi, step = _sweep_integers(text, parts + ["1"] * (3 - len(parts)))
-        if step < 1 or hi < lo:
-            raise ParseError(MALFORMED_RANGE, _SWEEP_FORMS, text)
-        _check_sweep_size((hi - lo) // step + 1)
-        return range(lo, hi + 1, step)
-    if len(parts) > 3:
-        raise ParseError(MALFORMED_RANGE, _SWEEP_FORMS, text)
-    items = text.split(",")
-    _check_sweep_size(len(items))
-    return sorted(set(_sweep_integers(text, items)))
-
-
-def _sweep_integers(text: str, parts: list[str]) -> list[int]:
-    try:
-        return [int(part) for part in parts]
-    except ValueError as exc:
-        raise ParseError(MALFORMED_RANGE, _SWEEP_FORMS, text) from exc
-
-
-def _check_sweep_size(count: int) -> None:
-    if count > MAX_SWEEP_VALUES:
-        raise PreconditionError(
-            f"sweep holds {count} values of n; at most {MAX_SWEEP_VALUES} are allowed"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +63,8 @@ def _check_sweep_size(count: int) -> None:
 
 
 def _run_alexander(args):
-    surface = _parse_surface(args.surface)
-    word, canonical = canonicalize_word(args.word, surface)
+    surface = wordparse.parse_surface(args.surface)
+    word, canonical = wordparse.canonicalize_word(args.word, surface)
     report = alexander_report(word)
     doc = {
         "command": "alexander",
@@ -170,7 +91,14 @@ def _run_alexander(args):
 
 
 def _verify_alexander(word: TwistWord, report) -> None:
-    for shift in range(max(len(word), 1)):
+    # Conjugates of a consistently wrong fold share one polynomial, so the
+    # shifts alone pass it; a fresh fold of the inverse word must undo it.
+    inverse = [(letter.curve, -letter.exponent) for letter in reversed(word.letters)]
+    undone = report.action @ word_action(TwistWord.from_pairs(word.surface, inverse))
+    if undone != HomologyMatrix.identity(word.surface):
+        raise VerificationError("the action of the inverse word does not undo the fold")
+    # Shift 0 is the fold and polynomial the report already holds.
+    for shift in range(1, len(word)):
         conjugate = characteristic_polynomial(word_action(word.cycled(shift)))
         if conjugate != report.poly:
             raise VerificationError("characteristic polynomial not conjugation-invariant")
@@ -178,39 +106,6 @@ def _verify_alexander(word: TwistWord, report) -> None:
         coeffs = report.poly.coefficients
         if coeffs != tuple(reversed(coeffs)):
             raise VerificationError("characteristic polynomial is not reciprocal")
-
-
-def _load_classes(path: str, surface: Surface):
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(MALFORMED_CLASSES_FILE, f"cannot read {path}: {exc}") from exc
-    try:
-        entries = json.loads(raw)
-    except ValueError as exc:  # invalid JSON, or an integer too long to read
-        raise ParseError(MALFORMED_CLASSES_FILE, f"{path} is not valid JSON") from exc
-    if not isinstance(entries, list):
-        raise ParseError(MALFORMED_CLASSES_FILE, "classes file must hold a JSON array")
-    classes = []
-    for entry in entries:
-        if isinstance(entry, str):
-            classes.append(parse_class(entry, surface))
-        elif isinstance(entry, list) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in entry
-        ):
-            if len(entry) != surface.betti:
-                raise ParseError(
-                    "vector_length_mismatch",
-                    f"vector has {len(entry)} entries, homology rank is {surface.betti}",
-                    token=json.dumps(entry),
-                )
-            classes.append(surface.homology_class(entry))
-        else:
-            raise ParseError(
-                MALFORMED_CLASSES_FILE,
-                "entries must be curve tokens or integer coordinate arrays",
-            )
-    return classes
 
 
 # Random words that twistlb --verify checks against a certificate.
@@ -238,8 +133,8 @@ def _certificate_battery(cert) -> int:
 
 
 def _run_twistlb(args):
-    surface = _parse_surface(args.surface)
-    classes = _load_classes(args.classes, surface)
+    surface = wordparse.parse_surface(args.surface)
+    classes = wordparse.load_classes(args.classes, surface)
     cert = knot_monodromy_obstruction(surface.genus, classes, surface)
     distinct = len({c.coords for c in classes})
     doc = {
@@ -266,16 +161,16 @@ def _run_twistlb(args):
 
 
 def _run_sclbound(args):
-    ns = _parse_sweep(args.n)
+    ns = wordparse.parse_sweep(args.n)
     if len(ns) != 1:
-        raise ParseError(MALFORMED_RANGE, "sclbound takes a single n", args.n)
+        raise ParseError(wordparse.MALFORMED_RANGE, "sclbound takes a single n", args.n)
     n = ns[0]
     twists = [
-        lower(reporting.parse_rational(text), f"twist factor {i + 1}")
+        lower(wordparse.parse_rational(text), f"twist factor {i + 1}")
         for i, text in enumerate(args.twists.split(",") if args.twists.strip() else [])
     ]
-    phi0 = lower(reporting.parse_rational(args.phi0), "base monodromy")
-    tc = lower(reporting.parse_rational(args.tc), "surgery twist")
+    phi0 = lower(wordparse.parse_rational(args.phi0), "base monodromy")
+    tc = lower(wordparse.parse_rational(args.tc), "surgery twist")
     chain = chain_lower(twists, phi0, tc, n)
     phi0_text = reporting.fraction_text(phi0.value)
     tc_text = reporting.fraction_text(tc.value)
@@ -301,15 +196,17 @@ def _run_sclbound(args):
 
 def _run_heightlb(args):
     if args.fibre_b1 is not None:
-        fibre_b1 = args.fibre_b1
+        fibre_b1 = wordparse.parse_integer(
+            args.fibre_b1, MALFORMED_ARGUMENTS, "--fibre-b1 must be an integer"
+        )
     elif args.surface is not None:
-        fibre_b1 = _parse_surface(args.surface, max_rank=None).betti
+        fibre_b1 = wordparse.parse_surface(args.surface, max_rank=None).betti
     else:
         raise ParseError(MISSING_ARGUMENT, "heightlb needs --fibre-b1 or --surface")
     if fibre_b1 < 0:
         raise PreconditionError("first Betti number must be non-negative")
-    model = _parse_model(args.model)
-    ns = _parse_sweep(args.n)
+    model = wordparse.parse_model(args.model)
+    ns = wordparse.parse_sweep(args.n)
     results = [height_lower_bound(HeightQuery(fibre_b1, n, model)) for n in ns]
     rows = [(n, result.h_lb) for n, result in zip(ns, results)]
     doc = {
@@ -363,7 +260,7 @@ def _verify_pants(n: int) -> None:
 
 
 def _run_pants(args):
-    ns = _parse_sweep(args.n)
+    ns = wordparse.parse_sweep(args.n)
     rows = []
     for n in ns:
         exponents = PantsFamilyMember(n).mapping_class
@@ -429,8 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="twist exponent")
 
     p = sub.add_parser("heightlb", parents=[common], help="stabilisation-height bounds")
-    p.add_argument("--fibre-b1", type=int, default=None)
-    p.add_argument("--surface", default=None, metavar="g,b")
+    fibre = p.add_mutually_exclusive_group()
+    fibre.add_argument("--fibre-b1", default=None)
+    fibre.add_argument("--surface", default=None, metavar="g,b")
     p.add_argument("--model", default=None, metavar="alpha,beta")
     p.add_argument("--n", required=True, help="exponent or sweep lo..hi[..step]")
 

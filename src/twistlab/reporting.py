@@ -22,17 +22,12 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 from .obstruction import ObstructionCertificate
 from .pants import ARC_NAMES
 from .polynomials import IntegerPolynomial, polynomial_text
 from .sclbound import Derivation, RationalBound
 from .homology import Surface, pair
-
-MALFORMED_RATIONAL = "malformed_rational"
-
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
 
 def _within_digit_limit(function):
     """Turn the ValueError of an integer too long to write as text into exit 3."""
@@ -55,17 +50,6 @@ def _within_digit_limit(function):
 def fraction_text(value) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Accept ``[+-]digits[/digits]``, surrounding whitespace trimmed."""
-    match = _RATIONAL_RE.fullmatch(text.strip())
-    if match is not None:
-        try:
-            return Fraction(int(match[1]), int(match[2] or 1))
-        except (ValueError, ZeroDivisionError):
-            pass  # too many digits, or a zero denominator
-    raise ParseError(MALFORMED_RATIONAL, f"cannot read rational {text!r}", token=text)
 
 
 def surface_doc(surface: Surface) -> dict:

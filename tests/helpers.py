@@ -1,6 +1,6 @@
 """Shared deterministic generators for the test suite."""
 
-from twistlab import Surface, TwistLetter, TwistWord
+from twistlab import HomologyClass, Surface, TwistLetter, TwistWord, canonicalize_word
 
 
 def random_class(surface: Surface, rng, lo=-3, hi=3):
@@ -38,3 +38,31 @@ def matmul(a, b):
 def transpose(a):
     n = len(a)
     return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+
+
+def parse_word(text: str, surface: Surface) -> TwistWord:
+    """Parse twist-word text on the given surface."""
+    return canonicalize_word(text, surface)[0]
+
+
+def format_class(cls: HomologyClass) -> str:
+    """Render a class as a basis token when it is one, else as a vector."""
+    coords = cls.coords
+    nonzero = [i for i, c in enumerate(coords) if c != 0]
+    if len(nonzero) == 1 and coords[nonzero[0]] == 1:
+        position = nonzero[0]
+        genus = cls.surface.genus
+        if position < 2 * genus:
+            family = "a" if position % 2 == 0 else "b"
+            return f"{family}{position // 2 + 1}"
+        return f"d{position - 2 * genus + 1}"
+    return "[" + ",".join(str(c) for c in coords) + "]"
+
+
+def format_word(word: TwistWord) -> str:
+    """Canonical text of a word built programmatically."""
+    parts = []
+    for letter in word.letters:
+        body = format_class(letter.curve)
+        parts.append(body if letter.exponent == 1 else f"{body}^{letter.exponent}")
+    return " ".join(parts)

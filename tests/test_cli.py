@@ -1,5 +1,6 @@
 """The command-line workbench: reports, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -7,11 +8,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from twistlab import cli, homology, reporting
+from twistlab import cli, homology, obstruction, polynomials, reporting, wordparse
 from twistlab.errors import PreconditionError, VerificationError
-from twistlab.homology import HomologyMatrix
+from twistlab.homology import HomologyMatrix, TwistWord, twist_action
 from twistlab.pants import PANTS_SURFACE
-from twistlab.sclbound import Derivation
+from twistlab.sclbound import Derivation, lower
 
 
 def run_cli(capsys, *argv):
@@ -289,9 +290,9 @@ def test_unknown_flag_exits_2(capsys):
 
 
 def test_sweep_size_is_capped(capsys):
-    limit = cli.MAX_SWEEP_VALUES
-    assert len(cli._parse_sweep(f"1..{limit}")) == limit
-    assert len(cli._parse_sweep(",".join(["7"] * limit))) == 1
+    limit = wordparse.MAX_SWEEP_VALUES
+    assert len(wordparse.parse_sweep(f"1..{limit}")) == limit
+    assert len(wordparse.parse_sweep(",".join(["7"] * limit))) == 1
     cases = [
         ("pants", f"--n=0..{10**15}"),
         ("pants", f"--n=1..{limit + 1}", "--format", "tsv"),
@@ -329,8 +330,125 @@ def test_pants_verify_requires_identity_action(capsys, monkeypatch):
     }
 
 
+def _verification_failure(capsys, *argv) -> str:
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "verification"
+    return error["message"]
+
+
+@pytest.mark.parametrize(
+    "surface, word",
+    [
+        ("3,1", "a1^2 b1^-1 a2^3 b2 a3^-2 b3^2"),
+        ("7,1", " ".join(f"a{i}^{i + 1} b{i}^-{i}" for i in range(1, 8))),
+    ],
+    ids=["g3", "g7"],
+)
+def test_alexander_verify_catches_dropped_exponents(capsys, monkeypatch, surface, word):
+    # Every cyclic shift of a consistently wrong fold is conjugate to it and
+    # shares its polynomial; only the fold of the inverse word exposes it.
+    fold = homology.word_action
+
+    def dropped(w):
+        return fold(TwistWord.from_pairs(w.surface, [(x.curve, 1) for x in w.letters]))
+
+    monkeypatch.setattr(homology, "word_action", dropped)
+    monkeypatch.setattr(cli, "word_action", dropped)
+    message = _verification_failure(capsys, "alexander", "--surface", surface, "--word", word)
+    assert message == "the action of the inverse word does not undo the fold"
+
+
+def test_alexander_verify_catches_a_charpoly_off_by_one(capsys, monkeypatch):
+    berkowitz = polynomials.characteristic_coefficients
+
+    def off_by_one(rows):
+        coeffs = list(berkowitz(rows))
+        if len(rows) >= 14:
+            coeffs[2] += 1
+        return tuple(coeffs)
+
+    monkeypatch.setattr(polynomials, "characteristic_coefficients", off_by_one)
+    word = " ".join(f"a{i} b{i}^-2" for i in range(1, 8))
+    message = _verification_failure(capsys, "alexander", "--surface", "7,1", "--word", word)
+    assert message == "characteristic polynomial is not reciprocal"
+
+
+def test_twistlb_verify_catches_a_fold_that_moves_the_witness(capsys, monkeypatch, tmp_path):
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps(["a1", "b1", "a2"]))
+    fold = obstruction.word_action
+
+    def drifting(word):  # the witness a2 pairs to 1 with b2
+        return twist_action(word.surface.b(2)) @ fold(word)
+
+    monkeypatch.setattr(obstruction, "word_action", drifting)
+    argv = ("twistlb", "--surface", "2,1", "--classes", str(classes))
+    message = _verification_failure(capsys, *argv)
+    assert message == "certificate verification failed on word 0"
+
+
+def test_sclbound_verify_catches_a_forged_chain_value(capsys, monkeypatch):
+    chain_lower = cli.chain_lower
+
+    def forged(*args):
+        chain = chain_lower(*args)
+        return dataclasses.replace(chain, result=lower(chain.result.value + 1))
+
+    monkeypatch.setattr(cli, "chain_lower", forged)
+    argv = ("sclbound", "--tc", "1/48", "--twists", "1/48", "--n", "480")
+    message = _verification_failure(capsys, *argv)
+    assert message == "derivation replay does not reproduce the bound"
+
+
+def test_heightlb_verify_catches_h_lb_off_by_one(capsys, monkeypatch):
+    height_lower_bound = cli.height_lower_bound
+
+    def off_by_one(query):
+        result = height_lower_bound(query)
+        return dataclasses.replace(result, h_lb=result.h_lb + 1)
+
+    monkeypatch.setattr(cli, "height_lower_bound", off_by_one)
+    message = _verification_failure(capsys, "heightlb", "--fibre-b1", "2", "--n", "123456")
+    assert message == "reported h_lb is not minimal"
+
+
+@pytest.mark.parametrize(
+    "text, accepted", [("1_0", False), ("\u0663", False), (" 5 ", True), ("+5", True)]
+)
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("pants", "--n={}"), "malformed_range"),
+        (("pants", "--n={}..20"), "malformed_range"),
+        (("pants", "--n=1..{}"), "malformed_range"),
+        (("pants", "--n=1..20..{}"), "malformed_range"),
+        (("pants", "--n=1,{}"), "malformed_range"),
+        (("alexander", "--surface={},1", "--word", "a1"), "malformed_surface"),
+        (("alexander", "--surface=1,{}", "--word", "a1"), "malformed_surface"),
+        (("heightlb", "--fibre-b1={}", "--n", "5"), "malformed_arguments"),
+    ],
+)
+def test_every_integer_field_follows_one_rule(capsys, argv, code, text, accepted):
+    # Underscores and non-ASCII digits (U+0663 is an Arabic-Indic 3) are
+    # refused with the code of their place; whitespace and '+' are not.
+    status, out, err = run_cli(capsys, *(arg.format(text) for arg in argv))
+    if accepted:
+        assert status == 0 and err == ""
+    else:
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == code
+
+
+def test_heightlb_takes_fibre_b1_or_surface_not_both(capsys):
+    code, out, err = run_cli(capsys, "heightlb", "--fibre-b1", "2", "--surface", "5,1", "--n", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "malformed_arguments"
+
+
 def test_homology_rank_is_capped(capsys, tmp_path):
-    assert cli.MAX_RANK == 200
+    assert wordparse.MAX_RANK == 200
     classes = tmp_path / "classes.json"
     classes.write_text('["a1"]')
     code, out, _ = run_cli(capsys, "twistlb", "--surface", "100,1", "--classes", str(classes))

@@ -2,16 +2,14 @@
 
 import pytest
 
+from helpers import format_class, format_word, parse_word
 from twistlab import (
     ParseError,
     Surface,
     TwistLetter,
     TwistWord,
     canonicalize_word,
-    format_class,
-    format_word,
     parse_class,
-    parse_word,
 )
 
 
