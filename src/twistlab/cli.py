@@ -31,7 +31,8 @@ from .homology import (
     TwistLetter,
     TwistWord,
     alexander_report,
-    characteristic_polynomial,
+    characteristic_value,
+    pair,
     word_action,
 )
 from .obstruction import knot_monodromy_obstruction, verify_certificate
@@ -91,21 +92,28 @@ def _run_alexander(args):
 
 
 def _verify_alexander(word: TwistWord, report) -> None:
-    # Conjugates of a consistently wrong fold share one polynomial, so the
-    # shifts alone pass it; a fresh fold of the inverse word must undo it.
-    inverse = [(letter.curve, -letter.exponent) for letter in reversed(word.letters)]
-    undone = report.action @ word_action(TwistWord.from_pairs(word.surface, inverse))
-    if undone != HomologyMatrix.identity(word.surface):
-        raise VerificationError("the action of the inverse word does not undo the fold")
-    # Shift 0 is the fold and polynomial the report already holds.
-    for shift in range(1, len(word)):
-        conjugate = characteristic_polynomial(word_action(word.cycled(shift)))
-        if conjugate != report.poly:
-            raise VerificationError("characteristic polynomial not conjugation-invariant")
-    if word.surface.boundary <= 1:
+    # Four checks, each by another algorithm than the path it checks.  Replay
+    # each basis vector by x -> x + e*i(x, c)*c, without the fold's gradient.
+    surface, action = word.surface, report.action
+    for j, column in enumerate(zip(*action.entries)):
+        x = surface.homology_class(i == j for i in range(surface.betti))
+        for letter in word.letters:
+            k = letter.exponent * pair(x, letter.curve)
+            if k:
+                x = surface.homology_class(
+                    v + k * c for v, c in zip(x.coords, letter.curve.coords)
+                )
+        if x.coords != column:
+            raise VerificationError("letter-by-letter replay does not give the action matrix")
+    if surface.boundary <= 1:
         coeffs = report.poly.coefficients
         if coeffs != tuple(reversed(coeffs)):
             raise VerificationError("characteristic polynomial is not reciprocal")
+    # Bareiss, not Berkowitz: a lone wrong c_k moves p(2) by a multiple of 2^k.
+    if characteristic_value(action, 1) != report.delta_one:
+        raise VerificationError("delta_one is not det(id - M)")
+    if characteristic_value(action, 2) != report.poly.evaluate(2):
+        raise VerificationError("characteristic polynomial at 2 is not det(2*id - M)")
 
 
 # Random words that twistlb --verify checks against a certificate.
@@ -161,10 +169,7 @@ def _run_twistlb(args):
 
 
 def _run_sclbound(args):
-    ns = wordparse.parse_sweep(args.n)
-    if len(ns) != 1:
-        raise ParseError(wordparse.MALFORMED_RANGE, "sclbound takes a single n", args.n)
-    n = ns[0]
+    n = wordparse.parse_integer(args.n, wordparse.MALFORMED_RANGE, "sclbound takes one integer n")
     twists = [
         lower(wordparse.parse_rational(text), f"twist factor {i + 1}")
         for i, text in enumerate(args.twists.split(",") if args.twists.strip() else [])

@@ -142,13 +142,6 @@ class TwistWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def cycled(self, shift: int) -> TwistWord:
-        """Cyclic permutation of the letters (a conjugate word)."""
-        if not self.letters:
-            return self
-        shift %= len(self.letters)
-        return TwistWord(self.letters[shift:] + self.letters[:shift], self.surface)
-
 
 @functools.lru_cache(maxsize=None)
 def standard_form(surface: Surface) -> tuple[tuple[int, ...], ...]:
@@ -309,11 +302,11 @@ def characteristic_polynomial(matrix: HomologyMatrix) -> IntegerPolynomial:
     return characteristic_polynomial_from_rows(matrix.entries)
 
 
-def characteristic_value_at_one(matrix: HomologyMatrix) -> int:
-    """det(id - M), the characteristic polynomial's value at t = 1, by Bareiss."""
+def characteristic_value(matrix: HomologyMatrix, t: int) -> int:
+    """det(t*id - M), the characteristic polynomial's value at t, by Bareiss."""
     return determinant(
         [
-            [(1 if i == j else 0) - v for j, v in enumerate(row)]
+            [(t if i == j else 0) - v for j, v in enumerate(row)]
             for i, row in enumerate(matrix.entries)
         ]
     )

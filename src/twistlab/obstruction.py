@@ -25,7 +25,7 @@ from .homology import (
     HomologyClass,
     Surface,
     TwistWord,
-    characteristic_value_at_one,
+    characteristic_value,
     pair,
     pairing_gradient,
     word_action,
@@ -169,7 +169,7 @@ def verify_certificate(cert: ObstructionCertificate, word: TwistWord) -> bool:
     action = word_action(word)
     if action.apply_vector(cert.witness) != cert.witness:
         return False
-    return characteristic_value_at_one(action) == 0
+    return characteristic_value(action, 1) == 0
 
 
 def knot_twist_length_lower_bound(genus: int) -> int:

@@ -27,6 +27,14 @@ def random_word(
     return TwistWord(tuple(letters), surface)
 
 
+def cycled(word: TwistWord, shift: int) -> TwistWord:
+    """Cyclic permutation of the letters (a conjugate word)."""
+    if not word.letters:
+        return word
+    shift %= len(word.letters)
+    return TwistWord(word.letters[shift:] + word.letters[:shift], word.surface)
+
+
 def matmul(a, b):
     n = len(a)
     return tuple(

@@ -298,7 +298,6 @@ def test_sweep_size_is_capped(capsys):
         ("pants", f"--n=1..{limit + 1}", "--format", "tsv"),
         ("heightlb", "--fibre-b1", "2", f"--n=-{10**15}..{10**15}..2"),
         ("heightlb", "--fibre-b1", "2", "--n", ",".join(["7"] * (limit + 1))),
-        ("sclbound", "--tc", "1/48", f"--n=0..{10**15}"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -308,6 +307,19 @@ def test_sweep_size_is_capped(capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith(f"{10**15}\t")
     assert len(out.splitlines()) == 1002
+
+
+@pytest.mark.parametrize("n", ["5..5", "5,5,5", "1..9..10", f"0..{10**15}", "5.0"])
+def test_sclbound_n_takes_exactly_one_integer(capsys, n):
+    code, out, err = run_cli(capsys, "sclbound", "--tc", "1/48", f"--n={n}")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "malformed_range",
+        "message": "sclbound takes one integer n",
+        "token": n,
+    }
+    code, out, _ = run_cli(capsys, "sclbound", "--tc", "1/48", "--n= +5 ")
+    assert code == 0 and json.loads(out)["inputs"]["n"] == 5
 
 
 def test_pants_verify_requires_identity_action(capsys, monkeypatch):
@@ -347,8 +359,8 @@ def _verification_failure(capsys, *argv) -> str:
     ids=["g3", "g7"],
 )
 def test_alexander_verify_catches_dropped_exponents(capsys, monkeypatch, surface, word):
-    # Every cyclic shift of a consistently wrong fold is conjugate to it and
-    # shares its polynomial; only the fold of the inverse word exposes it.
+    # The replay pushes each basis vector through the word by the transvection
+    # formula, so it does not share the fold's error.
     fold = homology.word_action
 
     def dropped(w):
@@ -357,7 +369,7 @@ def test_alexander_verify_catches_dropped_exponents(capsys, monkeypatch, surface
     monkeypatch.setattr(homology, "word_action", dropped)
     monkeypatch.setattr(cli, "word_action", dropped)
     message = _verification_failure(capsys, "alexander", "--surface", surface, "--word", word)
-    assert message == "the action of the inverse word does not undo the fold"
+    assert message == "letter-by-letter replay does not give the action matrix"
 
 
 def test_alexander_verify_catches_a_charpoly_off_by_one(capsys, monkeypatch):
@@ -373,6 +385,104 @@ def test_alexander_verify_catches_a_charpoly_off_by_one(capsys, monkeypatch):
     word = " ".join(f"a{i} b{i}^-2" for i in range(1, 8))
     message = _verification_failure(capsys, "alexander", "--surface", "7,1", "--word", word)
     assert message == "characteristic polynomial is not reciprocal"
+
+
+def _gradient_skips_index_0(monkeypatch):
+    # word_action reads the gradient; the replay and the pairing do not.
+    gradient = homology.pairing_gradient
+    monkeypatch.setattr(homology, "pairing_gradient", lambda c: (0,) + gradient(c)[1:])
+
+
+def _berkowitz_error(errors):
+    def patch(monkeypatch):
+        berkowitz = polynomials.characteristic_coefficients
+
+        def wrong(rows):
+            coeffs = list(berkowitz(rows))
+            for i, error in errors.items():
+                coeffs[i] += error
+            return tuple(coeffs)
+
+        monkeypatch.setattr(polynomials, "characteristic_coefficients", wrong)
+
+    return patch
+
+
+def _delta_one_at_minus_one(monkeypatch):
+    report = cli.alexander_report
+
+    def wrong(word):
+        right = report(word)
+        return dataclasses.replace(right, delta_one=right.poly.evaluate(-1))
+
+    monkeypatch.setattr(cli, "alexander_report", wrong)
+
+
+_WORD_2_1 = "a1 b1^2 a2^-1 b2 a1^3"
+_WORD_3_3 = "a1 [1,0,-1,2,0,1,1,0] d1^2 b3^-1 d2 a2^3"
+_WORD_7_1 = " ".join(f"a{i} b{i}^-2" for i in range(1, 8))
+
+
+@pytest.mark.parametrize(
+    "mutate, surface, word, message",
+    [
+        (_gradient_skips_index_0, "2,1", _WORD_2_1,
+         "letter-by-letter replay does not give the action matrix"),
+        # c_1 and c_{n-1} (highest degree first): the polynomial stays reciprocal.
+        (_berkowitz_error({1: 1, -2: 1}), "7,1", _WORD_7_1, "delta_one is not det(id - M)"),
+        (_berkowitz_error({2: 1}), "3,3", _WORD_3_3, "delta_one is not det(id - M)"),
+        (_delta_one_at_minus_one, "2,1", _WORD_2_1, "delta_one is not det(id - M)"),
+        # p(1) is unchanged; only p(2) sees it.
+        (_berkowitz_error({1: 1, 2: -1}), "3,3", _WORD_3_3,
+         "characteristic polynomial at 2 is not det(2*id - M)"),
+    ],
+    ids=[
+        "fold-gradient",
+        "palindromic-charpoly",
+        "charpoly-3-boundaries",
+        "delta-one",
+        "charpoly-same-p1",
+    ],
+)
+def test_alexander_verify_catches_consistent_errors(
+    capsys, monkeypatch, mutate, surface, word, message
+):
+    # Each error is the same on every conjugate and on the inverse word, so
+    # only a check by another algorithm than the one at fault sees it.
+    mutate(monkeypatch)
+    argv = ("alexander", "--surface", surface, "--word", word)
+    assert _verification_failure(capsys, *argv) == message
+
+
+@pytest.mark.parametrize(
+    "surface, word",
+    [
+        ("2,1", "a1 b1^-1 a2^2 b2"),
+        ("4,1", " ".join(f"{'ab'[i % 2]}{i // 2 % 4 + 1}^{i % 3 - 3}" for i in range(40))),
+    ],
+    ids=["4-letters", "40-letters"],
+)
+def test_alexander_verify_folds_once_and_takes_one_charpoly(
+    capsys, monkeypatch, surface, word
+):
+    calls = {"fold": 0, "charpoly": 0}
+    fold = homology.word_action
+    berkowitz = polynomials.characteristic_coefficients
+
+    def counted_fold(w):
+        calls["fold"] += 1
+        return fold(w)
+
+    def counted_charpoly(rows):
+        calls["charpoly"] += 1
+        return berkowitz(rows)
+
+    monkeypatch.setattr(homology, "word_action", counted_fold)
+    monkeypatch.setattr(cli, "word_action", counted_fold)
+    monkeypatch.setattr(polynomials, "characteristic_coefficients", counted_charpoly)
+    code, _, _ = run_cli(capsys, "alexander", "--surface", surface, "--word", word, "--verify")
+    assert code == 0
+    assert calls == {"fold": 1, "charpoly": 1}
 
 
 def test_twistlb_verify_catches_a_fold_that_moves_the_witness(capsys, monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import matmul, random_class, random_word, transpose
+from helpers import cycled, matmul, random_class, random_word, transpose
 from twistlab import (
     Classification,
     HomologyMatrix,
@@ -19,7 +19,7 @@ from twistlab import (
     twist_action,
     word_action,
 )
-from twistlab.homology import characteristic_value_at_one
+from twistlab.homology import characteristic_value
 from twistlab.polynomials import determinant
 
 
@@ -241,7 +241,7 @@ def test_characteristic_polynomial_reciprocal_on_one_boundary():
             assert poly.coefficients == tuple(reversed(poly.coefficients))
 
 
-def test_value_at_one_matches_characteristic_polynomial():
+def test_characteristic_value_matches_characteristic_polynomial():
     rng = random.Random(37)
     # ranks 2..12; odd ranks carry one boundary class
     surfaces = [Surface(r // 2, 1 + r % 2) for r in range(2, 13)]
@@ -249,7 +249,9 @@ def test_value_at_one_matches_characteristic_polynomial():
     for surface in surfaces:
         for _ in range(10):
             m = word_action(random_word(surface, rng, max_len=8))
-            assert characteristic_value_at_one(m) == characteristic_polynomial(m).evaluate(1)
+            poly = characteristic_polynomial(m)
+            for t in (1, 2):
+                assert characteristic_value(m, t) == poly.evaluate(t)
 
 
 def test_characteristic_polynomial_cyclic_invariance():
@@ -259,7 +261,7 @@ def test_characteristic_polynomial_cyclic_invariance():
         word = random_word(surface, rng)
         poly = characteristic_polynomial(word_action(word))
         for shift in range(len(word)):
-            shifted = characteristic_polynomial(word_action(word.cycled(shift)))
+            shifted = characteristic_polynomial(word_action(cycled(word, shift)))
             assert shifted == poly
 
 
