@@ -6,6 +6,9 @@ twist-length obstruction certificates for fibred-knot monodromies, the
 pair-of-pants Stallings family, and certified lower bounds on
 stabilisation height driven by stable-commutator-length inequalities.
 Everything is computed in exact integer/rational arithmetic.
+
+The names below are the package's API, each imported once from the
+layer that defines it.
 """
 
 from .errors import ParseError, PreconditionError, VerificationError
@@ -21,13 +24,11 @@ from .homology import (
     characteristic_polynomial,
     pair,
     standard_form,
-    twist_action,
     word_action,
 )
 from .obstruction import (
     ObstructionCertificate,
     knot_monodromy_obstruction,
-    knot_twist_length_lower_bound,
     orthogonal_complement,
     verify_certificate,
 )
@@ -37,13 +38,10 @@ from .pants import (
     CutReport,
     PantsClass,
     PantsFamilyMember,
-    compose,
     cut_annulus_twists,
     hopf_deplumbing_obstructed,
-    pants_alexander,
     pants_twist_length,
     pants_word,
-    stallings_twist,
 )
 from .polynomials import IntegerPolynomial, polynomial_text
 from .sclbound import (
@@ -57,73 +55,11 @@ from .sclbound import (
     RationalBound,
     Rule,
     chain_lower,
-    height_chain_bound,
     height_lower_bound,
-    height_model_bound,
     korkmaz_lower,
     lower,
     power_rule,
-    product_rule,
     replay,
     verify_derivation,
 )
 from .wordparse import canonicalize_word, parse_class
-
-__all__ = [
-    "AlexanderReport",
-    "ArcCut",
-    "BoundKind",
-    "CBoundModel",
-    "Classification",
-    "CutReport",
-    "Derivation",
-    "HeightQuery",
-    "HeightResult",
-    "HomologyClass",
-    "HomologyMatrix",
-    "ILLUSTRATIVE_MODEL",
-    "IntegerPolynomial",
-    "ModelFlag",
-    "ObstructionCertificate",
-    "PANTS_SURFACE",
-    "PantsClass",
-    "PantsFamilyMember",
-    "ParseError",
-    "PreconditionError",
-    "RationalBound",
-    "Rule",
-    "Surface",
-    "TwistLetter",
-    "TwistWord",
-    "VerificationError",
-    "alexander_report",
-    "canonicalize_word",
-    "chain_lower",
-    "characteristic_polynomial",
-    "compose",
-    "cut_annulus_twists",
-    "height_chain_bound",
-    "height_lower_bound",
-    "height_model_bound",
-    "hopf_deplumbing_obstructed",
-    "knot_monodromy_obstruction",
-    "knot_twist_length_lower_bound",
-    "korkmaz_lower",
-    "lower",
-    "orthogonal_complement",
-    "pair",
-    "pants_alexander",
-    "pants_twist_length",
-    "pants_word",
-    "parse_class",
-    "polynomial_text",
-    "power_rule",
-    "product_rule",
-    "replay",
-    "stallings_twist",
-    "standard_form",
-    "twist_action",
-    "verify_certificate",
-    "verify_derivation",
-    "word_action",
-]

@@ -27,6 +27,7 @@ from pathlib import Path
 from . import reporting, wordparse
 from .errors import ParseError, PreconditionError, VerificationError
 from .homology import (
+    Classification,
     HomologyMatrix,
     TwistLetter,
     TwistWord,
@@ -40,19 +41,10 @@ from .pants import (
     PANTS_SURFACE,
     PantsFamilyMember,
     cut_annulus_twists,
-    hopf_deplumbing_obstructed,
     pants_twist_length,
     pants_word,
 )
-from .sclbound import (
-    HeightQuery,
-    chain_lower,
-    height_chain_bound,
-    height_lower_bound,
-    height_model_bound,
-    lower,
-    verify_derivation,
-)
+from .sclbound import HeightQuery, chain_lower, height_lower_bound, lower, verify_derivation
 
 MALFORMED_ARGUMENTS = "malformed_arguments"
 MISSING_ARGUMENT = "missing_argument"
@@ -91,6 +83,14 @@ def _run_alexander(args):
     return doc, reporting.ALEXANDER_ROW, [row]
 
 
+# Classification by the value at 1, as documented; any other value is NEITHER.
+_CLASSIFICATION_AT_ONE = {
+    1: Classification.KNOT_COMPATIBLE,
+    -1: Classification.KNOT_COMPATIBLE,
+    0: Classification.MULTI_COMPONENT_COMPATIBLE,
+}
+
+
 def _verify_alexander(word: TwistWord, report) -> None:
     # Four checks, each by another algorithm than the path it checks.  Replay
     # each basis vector by x -> x + e*i(x, c)*c, without the fold's gradient.
@@ -114,6 +114,12 @@ def _verify_alexander(word: TwistWord, report) -> None:
         raise VerificationError("delta_one is not det(id - M)")
     if characteristic_value(action, 2) != report.poly.evaluate(2):
         raise VerificationError("characteristic polynomial at 2 is not det(2*id - M)")
+    # The last two fields follow from delta_one by the documented rule.
+    expected = _CLASSIFICATION_AT_ONE.get(report.delta_one, Classification.NEITHER)
+    if report.classification is not expected:
+        raise VerificationError("classification does not follow delta_one")
+    if report.normalized != (-report.poly if report.delta_one == -1 else report.poly):
+        raise VerificationError("normalized polynomial does not follow delta_one")
 
 
 # Random words that twistlb --verify checks against a certificate.
@@ -236,28 +242,32 @@ def _run_heightlb(args):
 
 
 def _verify_height(result) -> None:
-    # Independent re-check of the crossover against its definition.
-    query, h = result.query, result.h_lb
-    if height_chain_bound(query, h) > height_model_bound(query, h):
+    # The printed trees are the certificate: each must replay, and their
+    # Fraction values must cross exactly at h_lb, which the integer search
+    # found.  The trees are (CAP, MODEL) at h_lb - 1 when h_lb > 0, then at h_lb.
+    trees = result.derivations
+    if not all(map(verify_derivation, trees)):
+        raise VerificationError("height derivation replay failed")
+    cap, model = trees[-2:]
+    if cap.result.value > model.result.value:
         raise VerificationError("reported h_lb is still contradicted")
-    if h > 0 and not (
-        height_chain_bound(query, h - 1) > height_model_bound(query, h - 1)
-    ):
-        raise VerificationError("reported h_lb is not minimal")
-    for derivation in result.derivations:
-        if not verify_derivation(derivation):
-            raise VerificationError("height derivation replay failed")
+    if result.h_lb > 0:
+        cap, model = trees[:2]
+        if not cap.result.value > model.result.value:
+            raise VerificationError("reported h_lb is not minimal")
 
 
 _PANTS_IDENTITY = HomologyMatrix.identity(PANTS_SURFACE)
 
 
-def _verify_pants(n: int) -> None:
+def _verify_pants(n: int, obstructed: bool) -> None:
     member = PantsFamilyMember(n)
     cuts = cut_annulus_twists(n).arcs
     if cuts[1].full_twists - cuts[2].full_twists != 2:
         raise VerificationError("cut twists of the b-c and a-c arcs must differ by 2")
-    if hopf_deplumbing_obstructed(n) == any(cut.is_hopf_band for cut in cuts):
+    # The cuts leave 0, n + 1 and n - 1 full twists, and only +-1 is a Hopf
+    # band, so some arc leaves one exactly when n is -2, 0 or 2.
+    if obstructed != (n not in (-2, 0, 2)):
         raise VerificationError("obstruction flag disagrees with the cut report")
     # The identity action forces the polynomial (t - 1)^2 and its value 0 at 1.
     if word_action(pants_word(member.mapping_class)) != _PANTS_IDENTITY:
@@ -285,8 +295,8 @@ def _run_pants(args):
         )
     doc = {"command": "pants", "rows": rows}
     if args.verify:
-        for n in ns:
-            _verify_pants(n)
+        for row in rows:
+            _verify_pants(row[0], row[-1])
         doc["verified"] = True
     return doc, reporting.PANTS_ROW, rows
 

@@ -15,7 +15,8 @@ A right-handed Dehn twist about a curve in class c acts on homology by
 the transvection x -> x + i(x, c) * c.  In a twist word the first letter
 acts first, so the matrix of a word is the product M_k ... M_1; it is
 folded one letter at a time by rank-one updates and validated once, as
-a finished product.  All arithmetic is exact over the integers.
+a finished product, and no single letter's matrix is built.  All
+arithmetic is exact over the integers.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Surface:
 
     def homology_class(self, coords) -> HomologyClass:
         return HomologyClass(tuple(int(c) for c in coords), self)
-
-    def zero_class(self) -> HomologyClass:
-        return self.homology_class((0,) * self.betti)
 
     def a(self, i: int) -> HomologyClass:
         """The handle class a_i (1-based, i <= genus)."""
@@ -95,13 +93,6 @@ class HomologyClass:
                 f"class has {len(coords)} coordinates, surface has rank "
                 f"{self.surface.betti}"
             )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __neg__(self) -> HomologyClass:
-        return HomologyClass(tuple(-c for c in self.coords), self.surface)
 
 
 @dataclass(frozen=True)
@@ -174,14 +165,6 @@ def pairing_gradient(c: HomologyClass) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _preserves_form(entries, surface: Surface) -> bool:
     """M^T J M == J, entry (i, j) being the pairing of columns i and j.
 
@@ -238,37 +221,6 @@ class HomologyMatrix:
         return tuple(
             sum(self.entries[i][j] * vec[j] for j in range(n)) for i in range(n)
         )
-
-    def apply(self, x: HomologyClass) -> HomologyClass:
-        if x.surface != self.surface:
-            raise PreconditionError("class and matrix live on different surfaces")
-        return HomologyClass(self.apply_vector(x.coords), self.surface)
-
-    def compose(self, other: HomologyMatrix) -> HomologyMatrix:
-        """self after other (matrix product self * other)."""
-        if other.surface != self.surface:
-            raise PreconditionError("matrices live on different surfaces")
-        return HomologyMatrix(_matmul(self.entries, other.entries), self.surface)
-
-    def __matmul__(self, other: HomologyMatrix) -> HomologyMatrix:
-        return self.compose(other)
-
-
-def twist_action(c: HomologyClass, exponent: int = 1) -> HomologyMatrix:
-    """Action of the exponent-th power of a right-handed twist about c.
-
-    The transvection x -> x + exponent * i(x, c) * c; in particular the
-    curve's own class is fixed, and the zero class gives the identity.
-    """
-    w = pairing_gradient(c)
-    n = c.surface.betti
-    rows = tuple(
-        tuple(
-            (1 if i == j else 0) + exponent * c.coords[i] * w[j] for j in range(n)
-        )
-        for i in range(n)
-    )
-    return HomologyMatrix(rows, c.surface)
 
 
 def word_action(word: TwistWord) -> HomologyMatrix:

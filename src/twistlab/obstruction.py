@@ -170,10 +170,3 @@ def verify_certificate(cert: ObstructionCertificate, word: TwistWord) -> bool:
     if action.apply_vector(cert.witness) != cert.witness:
         return False
     return characteristic_value(action, 1) == 0
-
-
-def knot_twist_length_lower_bound(genus: int) -> int:
-    """Minimal number of distinct twist factors for a genus-g knot monodromy: 2g."""
-    if genus < 0:
-        raise PreconditionError("genus must be non-negative")
-    return 2 * genus

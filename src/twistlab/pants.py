@@ -1,4 +1,4 @@
-"""The pair of pants: twist length, Stallings twists, cut-arc analysis.
+"""The pair of pants: twist length, the Stallings family, cut-arc analysis.
 
 The mapping class group of a pair of pants (fixing the boundary
 pointwise) is free abelian of rank three, generated by the right-handed
@@ -12,14 +12,15 @@ negative Hopf band.  Cutting the fibre surface along the three
 non-separating arcs (joining a-b, b-c, a-c) leaves unknotted annuli with
 0, n+1, n-1 full twists; an annulus is a fibre surface only for a single
 positive or negative full twist, which yields the deplumbing
-obstruction for |n| >= 3.
+obstruction for every n outside {-2, 0, 2}.  ``pants_word`` writes a
+class as a twist word on the rank-2 homology, where it acts trivially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import AlexanderReport, Surface, TwistLetter, TwistWord, alexander_report
+from .homology import Surface, TwistLetter, TwistWord
 
 PANTS_SURFACE = Surface(0, 3)
 
@@ -33,14 +34,6 @@ class PantsClass:
     p: int
     q: int
     r: int
-
-    def inverse(self) -> PantsClass:
-        return PantsClass(-self.p, -self.q, -self.r)
-
-
-def compose(u: PantsClass, v: PantsClass) -> PantsClass:
-    """Componentwise sum; the three twists commute."""
-    return PantsClass(u.p + v.p, u.q + v.q, u.r + v.r)
 
 
 def pants_twist_length(w: PantsClass) -> int:
@@ -57,11 +50,6 @@ class PantsFamilyMember:
     @property
     def mapping_class(self) -> PantsClass:
         return PantsClass(1, -1, self.n)
-
-
-def stallings_twist(member: PantsFamilyMember, delta: int) -> PantsFamilyMember:
-    """Compose with delta extra full twists about the third boundary curve."""
-    return PantsFamilyMember(member.n + delta)
 
 
 @dataclass(frozen=True)
@@ -117,12 +105,3 @@ def pants_word(w: PantsClass) -> TwistWord:
         if e != 0
     )
     return TwistWord(letters, PANTS_SURFACE)
-
-
-def pants_alexander(w: PantsClass) -> AlexanderReport:
-    """Alexander report of the class; boundary twists act trivially on homology.
-
-    Every member gives (t - 1)^2 with value 0 at t = 1, consistent with a
-    fibred link of three components.
-    """
-    return alexander_report(pants_word(w))

@@ -34,10 +34,6 @@ class IntegerPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coefficients[-1] if self.coefficients else 0
-
     def evaluate(self, x):
         """Evaluate by Horner's rule; exact for int and Fraction arguments."""
         acc = 0 * x

@@ -7,10 +7,11 @@ surfaces of genus at least three (a perfect group):
               essential curve (Endo-Kotschick for separating curves,
               Korkmaz in general);
   * POWER     scl(T^n) = |n| scl(T) (homogeneity), used as a lower bound;
-  * PRODUCT   scl(gh) >= scl(g) + scl(h) - 1;
-  * CHAIN     iterated PRODUCT across a factorisation into k + 1 pieces:
+  * CHAIN     the product rule scl(gh) >= scl(g) + scl(h) - 1, iterated
+              across a factorisation into k + 2 pieces:
               scl(f_1 ... f_{k+2}) >= sum_i scl(f_i) - (k + 1), clamped
-              at zero once at the end;
+              at zero once at the end (the product rule has no node of
+              its own);
   * CAP       capping boundary components with discs does not increase
               scl, so a lower bound for the capped class transfers;
   * MODEL     a pluggable affine upper bound C(m) = alpha*m + beta on the
@@ -33,8 +34,11 @@ the twist bound, so this is the conservative choice).  The smallest k
 satisfying the inequality bounds the height from below; it grows without
 bound in |n| for every affine model.
 
-All values are exact ``fractions.Fraction``; derivations are immutable
-trees that replay bit-for-bit.
+The search itself compares in integers; the derivation trees of the
+two k it brackets carry the same inequality in ``fractions.Fraction``,
+so ``verify_derivation`` and a comparison of the trees' values check
+the reported height by another route.  Derivations are immutable trees
+that replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -81,7 +85,6 @@ def upper(value, subject: str = "") -> RationalBound:
 
 class Rule(Enum):
     KORKMAZ = "KORKMAZ"
-    PRODUCT = "PRODUCT"
     POWER = "POWER"
     CHAIN = "CHAIN"
     CAP = "CAP"
@@ -146,10 +149,6 @@ def _apply_rule(derivation: Derivation, values: list[Fraction]) -> RationalBound
         if g < 3:
             raise VerificationError("twist bound replay needs genus >= 3")
         return lower(Fraction(1, 18 * g - 6))
-    if rule is Rule.PRODUCT:
-        if len(values) != 2:
-            raise VerificationError("product rule takes two inputs")
-        return lower(values[0] + values[1] - 1)
     if rule is Rule.POWER:
         if len(values) != 1:
             raise VerificationError("power rule takes one input")
@@ -185,17 +184,6 @@ def korkmaz_lower(g: int) -> RationalBound:
 
 def derive_korkmaz(g: int) -> Derivation:
     return Derivation(Rule.KORKMAZ, (), korkmaz_lower(g), (("genus", g),))
-
-
-def product_rule(l1: RationalBound, l2: RationalBound) -> RationalBound:
-    """scl(gh) >= scl(g) + scl(h) - 1, clamped at zero."""
-    if l1.kind is not BoundKind.LOWER or l2.kind is not BoundKind.LOWER:
-        raise PreconditionError("product rule combines two lower bounds")
-    return lower(l1.value + l2.value - 1, "product")
-
-
-def derive_product(a, b) -> Derivation:
-    return Derivation(Rule.PRODUCT, (a, b), product_rule(_bound(a), _bound(b)))
 
 
 def power_rule(l: RationalBound, n: int) -> RationalBound:
@@ -319,17 +307,6 @@ def capped_genus(query: HeightQuery, k: int) -> int:
     return max(stabilisation_betti(query, k) // 2, 3)
 
 
-def height_chain_bound(query: HeightQuery, k: int) -> Fraction:
-    """L(k): the chain lower bound on scl after k plumbings."""
-    denom = 18 * capped_genus(query, k) - 6
-    return max(Fraction(abs(query.n), denom) - (k + 7), Fraction(0))
-
-
-def height_model_bound(query: HeightQuery, k: int) -> Fraction:
-    """C(m(k)): the model ceiling after k plumbings."""
-    return query.model.evaluate(stabilisation_betti(query, k))
-
-
 def _step_derivations(query: HeightQuery, k: int) -> tuple[Derivation, Derivation]:
     """The lower/upper pair for a hypothetical k-plumbing stabilisation."""
     g = capped_genus(query, k)
@@ -357,8 +334,7 @@ def height_lower_bound(query: HeightQuery) -> HeightResult:
     L is non-increasing and C non-decreasing in k, so the crossover is
     unique and found by bracketing plus binary search.  Non-decreasing in
     |n| for a fixed fibre and model.  The search compares in integers;
-    ``height_chain_bound`` and ``height_model_bound`` give the same
-    comparison in ``Fraction``.
+    the result's derivations give the same comparison in ``Fraction``.
     """
     model = query.model
     if model.alpha == 0 and model.beta < 0:

@@ -1,6 +1,18 @@
-"""Shared deterministic generators for the test suite."""
+"""Shared deterministic generators and reference oracles for the test suite."""
 
-from twistlab import HomologyClass, Surface, TwistLetter, TwistWord, canonicalize_word
+from fractions import Fraction
+
+from twistlab import (
+    HeightQuery,
+    HomologyClass,
+    HomologyMatrix,
+    Surface,
+    TwistLetter,
+    TwistWord,
+    canonicalize_word,
+)
+from twistlab.homology import pairing_gradient
+from twistlab.sclbound import capped_genus, stabilisation_betti
 
 
 def random_class(surface: Surface, rng, lo=-3, hi=3):
@@ -74,3 +86,31 @@ def format_word(word: TwistWord) -> str:
         body = format_class(letter.curve)
         parts.append(body if letter.exponent == 1 else f"{body}^{letter.exponent}")
     return " ".join(parts)
+
+
+def twist_action(c: HomologyClass, exponent: int = 1) -> HomologyMatrix:
+    """Oracle: the exponent-th power of a right-handed twist about c, as a matrix.
+
+    The transvection x -> x + exponent * i(x, c) * c; in particular the
+    curve's own class is fixed, and the zero class gives the identity.
+    """
+    w = pairing_gradient(c)
+    n = c.surface.betti
+    rows = tuple(
+        tuple(
+            (1 if i == j else 0) + exponent * c.coords[i] * w[j] for j in range(n)
+        )
+        for i in range(n)
+    )
+    return HomologyMatrix(rows, c.surface)
+
+
+def height_chain_bound(query: HeightQuery, k: int) -> Fraction:
+    """Oracle: L(k), the chain lower bound on scl after k plumbings."""
+    denom = 18 * capped_genus(query, k) - 6
+    return max(Fraction(abs(query.n), denom) - (k + 7), Fraction(0))
+
+
+def height_model_bound(query: HeightQuery, k: int) -> Fraction:
+    """Oracle: C(m(k)), the model ceiling after k plumbings."""
+    return query.model.evaluate(stabilisation_betti(query, k))

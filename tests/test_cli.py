@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from twistlab import cli, homology, obstruction, polynomials, reporting, wordparse
+from helpers import matmul, twist_action
+from twistlab import cli, homology, obstruction, pants, polynomials, reporting, sclbound, wordparse
 from twistlab.errors import PreconditionError, VerificationError
-from twistlab.homology import HomologyMatrix, TwistWord, twist_action
+from twistlab.homology import Classification, HomologyMatrix, TwistWord
 from twistlab.pants import PANTS_SURFACE
 from twistlab.sclbound import Derivation, lower
 
@@ -342,6 +343,13 @@ def test_pants_verify_requires_identity_action(capsys, monkeypatch):
     }
 
 
+def test_pants_verify_checks_the_obstruction_flag(capsys, monkeypatch):
+    # Counting only +1 as a Hopf band flags n = -2 (cuts 0, -1, -3) as obstructed.
+    monkeypatch.setattr(pants.ArcCut, "is_hopf_band", property(lambda cut: cut.full_twists == 1))
+    message = _verification_failure(capsys, "pants", "--n=-3..3")
+    assert message == "obstruction flag disagrees with the cut report"
+
+
 def _verification_failure(capsys, *argv) -> str:
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert code == 4 and out == ""
@@ -408,14 +416,18 @@ def _berkowitz_error(errors):
     return patch
 
 
-def _delta_one_at_minus_one(monkeypatch):
-    report = cli.alexander_report
+def _report_fields(**fields):
+    # Each field of the report is replaced by its function of the right report.
+    def patch(monkeypatch):
+        report = cli.alexander_report
 
-    def wrong(word):
-        right = report(word)
-        return dataclasses.replace(right, delta_one=right.poly.evaluate(-1))
+        def wrong(word):
+            right = report(word)
+            return dataclasses.replace(right, **{k: f(right) for k, f in fields.items()})
 
-    monkeypatch.setattr(cli, "alexander_report", wrong)
+        monkeypatch.setattr(cli, "alexander_report", wrong)
+
+    return patch
 
 
 _WORD_2_1 = "a1 b1^2 a2^-1 b2 a1^3"
@@ -431,10 +443,17 @@ _WORD_7_1 = " ".join(f"a{i} b{i}^-2" for i in range(1, 8))
         # c_1 and c_{n-1} (highest degree first): the polynomial stays reciprocal.
         (_berkowitz_error({1: 1, -2: 1}), "7,1", _WORD_7_1, "delta_one is not det(id - M)"),
         (_berkowitz_error({2: 1}), "3,3", _WORD_3_3, "delta_one is not det(id - M)"),
-        (_delta_one_at_minus_one, "2,1", _WORD_2_1, "delta_one is not det(id - M)"),
+        (_report_fields(delta_one=lambda r: r.poly.evaluate(-1)), "2,1", _WORD_2_1,
+         "delta_one is not det(id - M)"),
         # p(1) is unchanged; only p(2) sees it.
         (_berkowitz_error({1: 1, 2: -1}), "3,3", _WORD_3_3,
          "characteristic polynomial at 2 is not det(2*id - M)"),
+        # delta_one is 1 here: knot_compatible, and normalized is the polynomial.
+        (_report_fields(classification=lambda r: Classification.NEITHER,
+                        normalized=lambda r: -r.poly), "1,1", "a1 b1",
+         "classification does not follow delta_one"),
+        (_report_fields(normalized=lambda r: -r.poly), "1,1", "a1 b1",
+         "normalized polynomial does not follow delta_one"),
     ],
     ids=[
         "fold-gradient",
@@ -442,6 +461,8 @@ _WORD_7_1 = " ".join(f"a{i} b{i}^-2" for i in range(1, 8))
         "charpoly-3-boundaries",
         "delta-one",
         "charpoly-same-p1",
+        "classification",
+        "normalized",
     ],
 )
 def test_alexander_verify_catches_consistent_errors(
@@ -491,7 +512,8 @@ def test_twistlb_verify_catches_a_fold_that_moves_the_witness(capsys, monkeypatc
     fold = obstruction.word_action
 
     def drifting(word):  # the witness a2 pairs to 1 with b2
-        return twist_action(word.surface.b(2)) @ fold(word)
+        entries = matmul(twist_action(word.surface.b(2)).entries, fold(word).entries)
+        return HomologyMatrix(entries, word.surface)
 
     monkeypatch.setattr(obstruction, "word_action", drifting)
     argv = ("twistlb", "--surface", "2,1", "--classes", str(classes))
@@ -522,6 +544,20 @@ def test_heightlb_verify_catches_h_lb_off_by_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "height_lower_bound", off_by_one)
     message = _verification_failure(capsys, "heightlb", "--fibre-b1", "2", "--n", "123456")
     assert message == "reported h_lb is not minimal"
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [(1, "reported h_lb is not minimal"), (-1, "reported h_lb is still contradicted")],
+    ids=["late", "early"],
+)
+def test_heightlb_verify_checks_the_printed_trees(capsys, monkeypatch, shift, message):
+    # h_lb is right, but its trees are built at (h_lb + shift - 1, h_lb + shift):
+    # every tree replays, and only their values show the wrong crossover.
+    step = sclbound._step_derivations
+    monkeypatch.setattr(sclbound, "_step_derivations", lambda query, k: step(query, k + shift))
+    argv = ("heightlb", "--fibre-b1", "2", "--n", "123456")
+    assert _verification_failure(capsys, *argv) == message
 
 
 @pytest.mark.parametrize(

